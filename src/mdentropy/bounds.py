@@ -17,6 +17,18 @@ with the convention that a section with a zero extent contributes
 log 2 per remaining point.  Composed bounds use the pessimistic bracket
 ends: upper bounds from upper ends, lower bounds from lower minus upper.
 
+Each growth rate is bracketed on the torus-kind operator by one of two
+paths, chosen from `dimer_only`.  A monomer-dimer operator is iterated as
+the full 2^n-state vector through the site sweep of `transfer`, with no
+orbits, quotient or matrix built: M(0, T) = c(complement of T) >= 1 links
+every mask to the empty one and M(0, 0) >= 1, so the operator is
+irreducible and primitive and one positive vector brackets its radius.
+Dimer-only operators are reducible on even sections (2 to 7 components
+up to 12 points), and on odd sections they need hundreds to thousands of
+iterations (9291 on (5, 3)); the dense orbit quotient splits components
+and is |G| times smaller per step, which made it about ten times faster
+than the sweep on (5, 3).
+
 Closed-form route: the permanental lower bound for r-regular bipartite
 graphs gives, per site, the concave function lambda_lower(d, p) below the
 density-p monomer-dimer entropy of Z^d; its peak at optimal_density(d) is
@@ -31,15 +43,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .lattice import CapacityError, LatticeShape
 from .matchcount import CoverTable, SectionKind
-from .spectral import SpectralBracket, power_method
-from .symmetry import compute_orbits, generate_motion_group
-from .transfer import QuotientMatrix, build_quotient
+from .spectral import SpectralBracket, operator_power_method, power_method
+from .symmetry import burnside_orbit_count, compute_orbits, generate_motion_group
+from .transfer import QuotientMatrix, build_quotient, sweep_apply
 
 DESK_SCALE_MAX_POINTS = 17
 
@@ -63,14 +75,8 @@ def _canonical(dims) -> tuple[int, ...]:
     return out
 
 
-@lru_cache(maxsize=None)
-def section_quotient(dims: tuple[int, ...], dimer_only: bool = False) -> QuotientMatrix:
-    """Orbit-folded torus transfer matrix for a section, cached.
-
-    Dims are canonicalized by sorting: transposing axes is a relabeling
-    automorphism of the torus, so spectrum and orbit structure agree.
-    """
-    dims = _canonical(dims)
+def _section_shape(dims: tuple[int, ...]) -> LatticeShape:
+    """Shape of a canonical section with a transfer operator at desk scale."""
     if any(m == 0 for m in dims):
         raise ValueError("zero extents have no transfer matrix; handled as log 2 per point")
     shape = LatticeShape(dims)
@@ -79,6 +85,17 @@ def section_quotient(dims: tuple[int, ...], dimer_only: bool = False) -> Quotien
             f"section {dims} has {shape.n} points; desk scale ends at "
             f"{DESK_SCALE_MAX_POINTS}"
         )
+    return shape
+
+
+@lru_cache(maxsize=None)
+def section_quotient(dims: tuple[int, ...], dimer_only: bool = False) -> QuotientMatrix:
+    """Orbit-folded torus transfer matrix for a section, cached.
+
+    Dims are canonicalized by sorting: transposing axes is a relabeling
+    automorphism of the torus, so spectrum and orbit structure agree.
+    """
+    shape = _section_shape(_canonical(dims))
     table = CoverTable(shape, SectionKind.TORUS, dimer_only)
     group = generate_motion_group(shape)
     orbits = compute_orbits(group, shape.n)
@@ -87,7 +104,8 @@ def section_quotient(dims: tuple[int, ...], dimer_only: bool = False) -> Quotien
 
 def section_orbit_count(dims) -> int:
     """Number of mask orbits of the section's rigid motions."""
-    return section_quotient(_canonical(dims), False).size
+    shape = _section_shape(_canonical(dims))
+    return burnside_orbit_count(generate_motion_group(shape), shape.n)
 
 
 def _exact_log_bracket(value: float, shift: float) -> SpectralBracket:
@@ -109,9 +127,17 @@ def transfer_log_radius(dims: tuple[int, ...], dimer_only: bool = False,
     if any(m == 0 for m in dims):
         points = prod(m for m in dims if m) if any(dims) else 1
         return _exact_log_bracket(points * math.log(2.0), shift)
-    qm = section_quotient(dims, dimer_only)
-    bracket, _ = power_method(qm.to_dense(), weights=qm.weight_vector(),
-                              shift=shift, tol=tol, max_iter=max_iter)
+    if dimer_only:
+        # even sections are reducible, so a single vector would stall on the
+        # weakest component; the quotient splits components, and it is |G|
+        # times smaller for the thousands of iterations odd sections need
+        qm = section_quotient(dims, dimer_only)
+        bracket, _ = power_method(qm.to_dense(), weights=qm.weight_vector(),
+                                  shift=shift, tol=tol, max_iter=max_iter)
+    else:
+        table = CoverTable(_section_shape(dims), SectionKind.TORUS)
+        bracket, _ = operator_power_method(partial(sweep_apply, table), table.full + 1,
+                                           shift=shift, tol=tol, max_iter=max_iter)
 
     def safe_log(x: float) -> float:
         return math.log(x) if x > 0 else -math.inf

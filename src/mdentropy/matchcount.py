@@ -77,6 +77,11 @@ class CoverTable:
         self.kind = kind
         self.dimer_only = bool(dimer_only)
         self.adjacency, self.slots = section_config(shape, kind)
+        # ways to cover a point alone: a monomer (unless dimer-only) or a
+        # dimer through one of its protrusion slots
+        self.point_weights = tuple(
+            (0 if self.dimer_only else 1) + s for s in self.slots
+        )
         self.full = (1 << shape.n) - 1
         self.counts = self._build()
 
@@ -85,9 +90,7 @@ class CoverTable:
             tuple((1 << j, mult) for j, mult in lst)
             for lst in self.adjacency.neighbor_lists()
         ]
-        point_weight = [
-            (0 if self.dimer_only else 1) + s for s in self.slots
-        ]
+        point_weight = self.point_weights
         counts = [0] * (self.full + 1)
         counts[0] = 1
         for mask in range(1, self.full + 1):

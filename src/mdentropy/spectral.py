@@ -14,7 +14,13 @@ connected component separately and taking the componentwise maximum of
 the brackets: on a direct sum, a single positive vector would pin the
 lower ratio to the weakest component forever.
 
-Brackets are computed in float64 from exactly assembled integer matrices;
+`power_method` takes the matrix itself (dense or sparse), so it can find
+the components.  `operator_power_method` runs the same iteration on an
+operator given only by its product, such as the site sweep of the full
+transfer matrix; it iterates a single vector, which is sound only for an
+irreducible operator.
+
+Brackets are computed in float64 from exact integer entries;
 certification is up to roundoff in entries and products, not interval
 arithmetic.  All reductions use fixed-order numpy sums, so results do not
 depend on BLAS thread counts.
@@ -46,9 +52,8 @@ class SpectralBracket:
         return self.upper - self.lower
 
 
-def _iterate(matrix, weights, shift, tol, max_iter, history, component):
-    m = matrix.shape[0]
-    x = np.ones(m)
+def _iterate(apply, weights, shift, tol, max_iter, history, component):
+    x = np.ones(len(weights))
     lower = -math.inf
     upper = math.inf
     rayleigh = math.nan
@@ -56,7 +61,7 @@ def _iterate(matrix, weights, shift, tol, max_iter, history, component):
     converged = False
     while iterations < max_iter:
         iterations += 1
-        y = matrix @ x + shift * x
+        y = apply(x) + shift * x
         if not np.all(np.isfinite(y)):
             raise ArithmeticError("power iteration produced non-finite values")
         ratios = y / x
@@ -118,7 +123,8 @@ def power_method(matrix, weights=None, shift: float = 1.0, tol: float = 1e-12,
     for c in range(n_comp):
         idx = np.flatnonzero(labels == c)
         sub = mat[np.ix_(idx, idx)] if dense else mat[idx][:, idx]
-        bracket, vec = _iterate(sub, w[idx], shift, tol, max_iter, history, c)
+        bracket, vec = _iterate(sub.__matmul__, w[idx], shift, tol, max_iter,
+                                history, c)
         total_iterations += bracket.iterations
         brackets.append(bracket)
         vectors.append(vec)
@@ -141,3 +147,21 @@ def power_method(matrix, weights=None, shift: float = 1.0, tol: float = 1e-12,
         converged=converged,
     )
     return result, vector
+
+
+def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-12,
+                          max_iter: int = 1_000_000, history: list | None = None):
+    """Bracket the spectral radius of a symmetric nonnegative operator.
+
+    `apply` maps a float64 vector of length `size` to the operator's product
+    with it, for an operator never materialized as a matrix.  Its
+    components cannot be split, so the caller guarantees irreducibility:
+    from one positive start vector the ratio bracket then closes on the
+    radius.  Arguments and result are those of `power_method`, with unit
+    weights.
+    """
+    if size < 1:
+        raise ValueError("operator size must be positive")
+    if shift <= 0:
+        raise ValueError("shift must be positive")
+    return _iterate(apply, np.ones(size), shift, tol, max_iter, history, 0)

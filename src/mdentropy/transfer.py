@@ -1,22 +1,35 @@
-"""Orbit-reduced transfer matrices and exact full-matrix operations.
+"""Transfer operators over subset masks: the site sweep and the orbit quotient.
 
 The full transfer matrix of a section configuration has rows and columns
 indexed by subset masks; entry (S, T) counts covers of the complement of
-S | T and is zero when S and T intersect.  Folding columns over the mask
-orbits of a group that preserves the matrix gives the quotient
+S | T and is zero when S and T intersect.  Its product with a vector is
+the subset convolution
+
+    (M x)(S) = sum over T inside the complement U of S of c(U - T) x(T)
+
+with c the cover counts.  `sweep_apply` evaluates it without the matrix,
+in one sweep over the sites and edges of the section.  A cover is a set of disjoint pieces, and placing one
+piece is an in-place update of the 2^n vector z (initially x) over the
+bit axes of its sites: a monomer at v adds weight * z(A - v) into every
+z(A) with v in A, a dimer {v, w} adds mult * z(A - v - w) into every z(A)
+holding both.  Each update reads only entries it does not write, and the
+updates commute, so after one update per piece z(U) sums c(U - T) x(T)
+over T inside U, and the product at S is z(full - U).  That costs
+O(n * deg * 2^n) additions of nonnegative numbers, in float64 for
+spectral brackets and in Python integers (object dtype) for exact traces
+and boundary quadratic forms.
+
+Folding columns over the mask orbits of a group that preserves the matrix
+gives the quotient
 
     q[a][b] = sum over T in orbit b of entry(rep_a, T)
 
 which keeps the spectral radius of the full matrix and is self-adjoint
 under the orbit-size weighted inner product: w_a * q[a][b] = w_b * q[b][a].
 Quotient entries are assembled exactly in Python integers by enumerating
-the submasks of each representative's complement.
-
-Full-matrix operations never materialize the 2^n x 2^n integer matrix:
-matrix-vector products walk the complement submasks of every row, which
-costs 3^n integer operations, so traces and boundary quadratic forms stay
-exact at small n.  A float64 sparse form of the full matrix is available
-for cross-checking the quotient's spectral bracket.
+the submasks of each representative's complement, 3^n / |G| steps.  That
+walk, and the one behind the float64 sparse form of the full matrix, are
+kept as references independent of the sweep.
 """
 
 from __future__ import annotations
@@ -102,24 +115,33 @@ def weighted_symmetry_ok(qm: QuotientMatrix) -> bool:
     return True
 
 
+def sweep_apply(table: CoverTable, x: np.ndarray) -> np.ndarray:
+    """Full transfer matrix of `table` times x, one in-place update per piece.
+
+    `x` has length 2^n; the result has its dtype, so float64 input gives a
+    float64 product and object input an exact integer one.
+    """
+    n = table.shape.n
+    z = np.array(x, order="C")
+    if z.shape != (1 << n,):
+        raise ValueError(f"vector of length {z.size} does not match {1 << n} masks")
+    for v, weight in enumerate(table.point_weights):
+        if weight:
+            axis = z.reshape(-1, 2, 1 << v)
+            _add_scaled(axis[:, 1], axis[:, 0], weight)
+    for v, w, mult in table.adjacency.edges:
+        pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, 1 << v)
+        _add_scaled(pair[:, 1, :, 1], pair[:, 0, :, 0], mult)
+    return z[::-1]
+
+
+def _add_scaled(target: np.ndarray, source: np.ndarray, factor: int) -> None:
+    target += source if factor == 1 else factor * source
+
+
 def matvec_exact(table: CoverTable, x: list[int]) -> list[int]:
     """Exact product of the full transfer matrix with an integer vector."""
-    counts = table.counts
-    full = table.full
-    y = [0] * (full + 1)
-    for i in range(full + 1):
-        comp = full ^ i
-        acc = 0
-        sub = comp
-        while True:
-            xv = x[sub]
-            if xv:
-                acc += counts[comp ^ sub] * xv
-            if sub == 0:
-                break
-            sub = (sub - 1) & comp
-        y[i] = acc
-    return y
+    return sweep_apply(table, np.array(x, dtype=object)).tolist()
 
 
 def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None) -> int:

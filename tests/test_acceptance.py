@@ -246,3 +246,19 @@ def test_acceptance_8_quotient_soundness():
                 high = min(full_bracket.upper, fold_bracket.upper)
                 scale = max(1.0, full_bracket.upper)
                 assert low <= high + 1e-9 * scale, f"{dims} dimer={dimer_only}"
+
+
+def test_sweep_brackets_match_quotient_brackets():
+    # monomer-dimer radii come from the site sweep over all 2^n masks; the
+    # orbit quotient iterates the same vectors folded, so the brackets
+    # overlap as in criterion 8 and the iteration counts agree
+    for dims in [(10,), (12,), (3, 3), (4, 3), (8, 2)]:
+        qm = section_quotient(dims)
+        fold, _ = power_method(qm.to_dense(), qm.weight_vector())
+        sweep = transfer_log_radius(dims)
+        assert fold.converged and sweep.converged
+        assert sweep.iterations == fold.iterations, dims
+        low = max(fold.lower, math.exp(sweep.lower))
+        high = min(fold.upper, math.exp(sweep.upper))
+        scale = max(1.0, fold.upper)
+        assert low <= high + 1e-9 * scale, dims

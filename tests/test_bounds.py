@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mdentropy.bounds import (
+    DESK_SCALE_MAX_POINTS,
     dimer_lower,
     h2_bounds,
     h3_bounds,
@@ -68,8 +69,14 @@ def test_section_orbit_counts():
 
 
 def test_section_capacity_and_validation():
-    with pytest.raises(CapacityError):
-        section_quotient((18,))
+    assert DESK_SCALE_MAX_POINTS == 17
+    for dims in [(18,), (6, 3)]:
+        with pytest.raises(CapacityError):
+            section_quotient(dims)
+        with pytest.raises(CapacityError):
+            transfer_log_radius(dims)
+        with pytest.raises(CapacityError):
+            section_orbit_count(dims)
     with pytest.raises(ValueError):
         section_quotient((0, 3))
     with pytest.raises(ValueError):

@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import mdentropy
 import mdentropy.cli as cli
 from mdentropy import __version__
 from mdentropy.cli import (
@@ -281,9 +284,13 @@ def test_unknown_choice_is_an_argparse_error(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package the tests imported, however it was found
+    source_root = str(Path(mdentropy.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mdentropy", "beta", "--dims", "2"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("dims,orbit_count,log_radius")

@@ -6,7 +6,7 @@ from scipy import sparse
 
 from mdentropy.lattice import LatticeShape
 from mdentropy.matchcount import CoverTable, SectionKind
-from mdentropy.spectral import power_method
+from mdentropy.spectral import operator_power_method, power_method
 from mdentropy.symmetry import compute_orbits, generate_motion_group
 from mdentropy.transfer import build_quotient
 
@@ -117,6 +117,16 @@ def test_sparse_input_agrees_with_dense():
     assert sparse_bracket.upper == dense_bracket.upper
 
 
+def test_operator_entry_point_matches_the_matrix_path():
+    history_matrix, history_operator = [], []
+    want, want_vec = power_method(PATH_GRAPH, history=history_matrix)
+    got, got_vec = operator_power_method(PATH_GRAPH.__matmul__, PATH_GRAPH.shape[0],
+                                         history=history_operator)
+    assert got == want
+    assert np.array_equal(got_vec, want_vec)
+    assert history_operator == history_matrix
+
+
 def test_repeat_runs_are_bitwise_identical():
     qm = torus_quotient((6,))
     first, _ = power_method(qm.to_dense(), qm.weight_vector())
@@ -143,3 +153,7 @@ def test_validation_errors():
         power_method(np.ones((2, 2)), weights=np.ones(3))
     with pytest.raises(ValueError):
         power_method(np.ones((2, 2)), weights=np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        operator_power_method(PATH_GRAPH.__matmul__, 0)
+    with pytest.raises(ValueError):
+        operator_power_method(PATH_GRAPH.__matmul__, 3, shift=-1.0)

@@ -2,17 +2,20 @@ import random
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from mdentropy.lattice import CapacityError, LatticeShape
 from mdentropy.matchcount import CoverTable, SectionKind
 from mdentropy.symmetry import compute_orbits, generate_motion_group, identity_perm
 from mdentropy.transfer import (
+    MAX_FULL_MATRIX_POINTS,
     QuotientMatrix,
     build_quotient,
     full_matrix_sparse,
     full_trace_power,
     matvec_exact,
     quadratic_form_count,
+    sweep_apply,
     weighted_symmetry_ok,
 )
 
@@ -100,14 +103,38 @@ def test_dimer_only_quotient_is_entrywise_smaller():
     assert np.all(tilde.entries <= plain.entries)
 
 
-def test_matvec_matches_dense_product():
-    table = torus_table((3, 2))
+# (2, 2) wraps into doubled edges; the mixed and protruding kinds carry
+# protrusion slots, which weight the sweep's monomer steps
+@pytest.mark.parametrize("dimer_only", [False, True])
+@pytest.mark.parametrize("kind", list(SectionKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("dims", [(3, 2), (2, 2)], ids=["3x2", "2x2"])
+def test_matvec_matches_dense_product(dims, kind, dimer_only):
+    table = CoverTable(LatticeShape(dims), kind, dimer_only)
     dense = dense_full(table).astype(object)
     rng = random.Random(17)
     x = [rng.randrange(0, 50) for _ in range(table.full + 1)]
     want = [int(sum(int(dense[i, j]) * x[j] for j in range(table.full + 1)))
             for i in range(table.full + 1)]
     assert matvec_exact(table, x) == want
+    xf = np.array([rng.random() for _ in range(table.full + 1)])
+    np.testing.assert_allclose(sweep_apply(table, xf),
+                               full_matrix_sparse(table) @ xf, rtol=1e-13)
+
+
+def _torus_sections(max_points):
+    yield from ((m,) for m in range(1, max_points + 1))
+    yield from ((a, b) for a in range(2, max_points // 2 + 1)
+                for b in range(2, a + 1) if a * b <= max_points)
+    yield from ((a, 2, 2) for a in range(2, max_points // 4 + 1))
+
+
+@pytest.mark.parametrize("dims", list(_torus_sections(12)),
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_monomer_dimer_operator_is_irreducible(dims):
+    # the single-vector sweep iteration of transfer_log_radius rests on this
+    matrix = full_matrix_sparse(torus_table(dims))
+    n_comp, _ = connected_components(matrix, directed=True, connection="strong")
+    assert n_comp == 1
 
 
 def test_single_layer_trace_is_the_ring_cover_count():
@@ -186,12 +213,15 @@ def test_validation_errors():
         full_trace_power(table, -1)
     with pytest.raises(ValueError):
         quadratic_form_count(table, 1)
+    with pytest.raises(ValueError):
+        sweep_apply(table, np.ones(7))
     orbits = compute_orbits(generate_motion_group(LatticeShape((4,))), 4)
     with pytest.raises(ValueError):
         build_quotient(table, orbits)
 
 
 def test_full_matrix_capacity_limits():
+    assert MAX_FULL_MATRIX_POINTS == 14
     table = torus_table((15,))
     with pytest.raises(CapacityError):
         full_trace_power(table, 1)
