@@ -16,10 +16,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from math import prod
 
 from . import __version__
@@ -249,52 +247,45 @@ def cmd_table(args) -> int:
             f"--max-size {args.max_size} exceeds the {DESK_SCALE_MAX_POINTS}-point desk scale")
     dimer_only = args.which in (2, 4)
     shapes = [s for s in TABLE_SHAPES[args.which] if prod(s) <= args.max_size]
-
-    def worker(shape):
-        row = _beta_row(shape, dimer_only, args.tol, args.shift, args.max_iters)
-        return {c: row[c] for c in TABLE_COLUMNS}, row["converged"]
-
-    threads = _resolve_threads(args.threads)
-    if threads > 1 and len(shapes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(worker, shapes))
-    else:
-        outcomes = [worker(s) for s in shapes]
-    rows = [row for row, _ in outcomes]
-    all_converged = all(conv for _, conv in outcomes)
+    results = [_beta_row(s, dimer_only, args.tol, args.shift, args.max_iters)
+               for s in shapes]
+    rows = [{c: row[c] for c in TABLE_COLUMNS} for row in results]
     parameters = {
         "which": args.which,
         "max_size": args.max_size,
         "tol": args.tol,
         "shift": args.shift,
         "max_iters": args.max_iters,
-        "threads": threads,
     }
     _emit(args.fmt, "table", parameters, TABLE_COLUMNS, rows, started)
-    return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
+    return EXIT_OK if all(row["converged"] for row in results) else EXIT_NOT_CONVERGED
 
 
-def _resolve_threads(flag_value) -> int:
-    if flag_value is not None:
-        value = flag_value
-    else:
-        raw = os.environ.get("MDENTROPY_THREADS", "1")
+def _checked(convert, accept, requirement: str):
+    """An argparse `type=` that converts, then rejects values outside a range."""
+    def parse(text: str):
         try:
-            value = int(raw)
+            value = convert(text)
         except ValueError:
-            raise UsageError(f"MDENTROPY_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"thread count must be positive, got {value}")
-    return value
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_shift = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _add_spectral_flags(parser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-12,
-                        help="relative bracket width for convergence")
-    parser.add_argument("--shift", type=float, default=1.0,
-                        help="positive diagonal shift for the power method")
-    parser.add_argument("--max-iters", type=int, default=1_000_000,
-                        dest="max_iters", help="iteration cap per component")
+    parser.add_argument("--tol", type=_tolerance, default=1e-12,
+                        help="relative bracket width for convergence (finite, >= 0)")
+    parser.add_argument("--shift", type=_shift, default=1.0,
+                        help="diagonal shift for the power method (finite, > 0)")
+    parser.add_argument("--max-iters", type=_count, default=1_000_000,
+                        dest="max_iters", help="iteration cap per component (>= 1)")
 
 
 def _add_format_flag(parser) -> None:
@@ -325,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="r for h2/h2t, r,t for h3/h3t")
     p_bounds.add_argument("--lower", required=True,
                           help="p,q for h2/h2t, p,q,u,s,v for h3/h3t")
-    p_bounds.add_argument("--tol", type=float, default=1e-12)
+    p_bounds.add_argument("--tol", type=_tolerance, default=1e-12,
+                          help="relative bracket width for convergence (finite, >= 0)")
     _add_format_flag(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -337,15 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_lambda.set_defaults(func=cmd_lambda)
 
     p_verify = sub.add_parser("verify", help="run the enumeration cross-check suite")
-    p_verify.add_argument("--max-points", type=int, default=20, dest="max_points")
+    p_verify.add_argument("--max-points", type=_count, default=20, dest="max_points",
+                          help="largest region point count to cross-check (>= 1)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="batch section runs")
     p_table.add_argument("--which", type=int, required=True, choices=(1, 2, 3, 4))
     p_table.add_argument("--max-size", type=int, default=12, dest="max_size",
                          help="largest section point count to run")
-    p_table.add_argument("--threads", type=int, default=None,
-                         help="worker cap (default MDENTROPY_THREADS or 1)")
     _add_spectral_flags(p_table)
     _add_format_flag(p_table)
     p_table.set_defaults(func=cmd_table)

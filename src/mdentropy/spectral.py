@@ -106,6 +106,8 @@ def power_method(matrix, weights=None, shift: float = 1.0, tol: float = 1e-12,
         raise ValueError("matrix must be square")
     if shift <= 0:
         raise ValueError("shift must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     minval = mat.min() if dense else (mat.data.min() if mat.nnz else 0.0)
     if minval < 0:
         raise ValueError("matrix must be nonnegative")
@@ -164,4 +166,6 @@ def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-
         raise ValueError("operator size must be positive")
     if shift <= 0:
         raise ValueError("shift must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     return _iterate(apply, np.ones(size), shift, tol, max_iter, history, 0)

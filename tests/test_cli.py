@@ -198,8 +198,7 @@ def test_verify_capacity(capsys):
     assert run_cli(capsys, "verify", "--max-points", "21")[0] == EXIT_CAPACITY
 
 
-def test_table_row_selection(capsys, monkeypatch):
-    monkeypatch.delenv("MDENTROPY_THREADS", raising=False)
+def test_table_row_selection(capsys):
     code, out, _ = run_cli(capsys, "table", "--which", "1", "--max-size", "12")
     assert code == EXIT_OK
     header, rows = parse_csv(out)
@@ -214,41 +213,55 @@ def test_table_row_selection(capsys, monkeypatch):
     assert all(a > b for a, b in zip(even, even[1:]))
 
 
-def test_table_two_dimensional_sections(capsys, monkeypatch):
-    monkeypatch.delenv("MDENTROPY_THREADS", raising=False)
+def test_table_two_dimensional_sections(capsys):
     code, out, _ = run_cli(capsys, "table", "--which", "3", "--max-size", "6")
     assert code == EXIT_OK
     _, rows = parse_csv(out)
     assert [row["dims"] for row in rows] == ["2x2", "3x2"]
 
 
-def test_table_threads_do_not_change_output(capsys, monkeypatch):
-    monkeypatch.delenv("MDENTROPY_THREADS", raising=False)
-    single = run_cli(capsys, "table", "--which", "2", "--max-size", "10",
-                     "--threads", "1")
-    threaded = run_cli(capsys, "table", "--which", "2", "--max-size", "10",
-                       "--threads", "2")
-    assert single == threaded
-
-
-def test_table_thread_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("MDENTROPY_THREADS", "2")
-    code, out, _ = run_cli(capsys, "table", "--which", "1", "--max-size", "6",
-                           "--format", "json")
-    assert code == EXIT_OK
-    record = json.loads(out)
-    assert record["parameters"]["threads"] == 2
-    monkeypatch.setenv("MDENTROPY_THREADS", "zero")
-    assert run_cli(capsys, "table", "--which", "1", "--max-size", "6")[0] == \
-        EXIT_USAGE
-
-
-def test_table_size_limits(capsys, monkeypatch):
-    monkeypatch.delenv("MDENTROPY_THREADS", raising=False)
+def test_table_size_limits(capsys):
     assert run_cli(capsys, "table", "--which", "1", "--max-size", "18")[0] == \
         EXIT_CAPACITY
     assert run_cli(capsys, "table", "--which", "1", "--max-size", "0")[0] == \
         EXIT_USAGE
+
+
+@pytest.mark.parametrize("dimer_which, md_which, max_size", [(2, 1, 10), (4, 3, 12)])
+def test_table_dimer_only_sections(capsys, dimer_which, md_which, max_size):
+    code, out, _ = run_cli(capsys, "table", "--which", str(dimer_which),
+                           "--max-size", str(max_size))
+    assert code == EXIT_OK
+    _, rows = parse_csv(out)
+    shapes = [s for s in cli.TABLE_SHAPES[dimer_which] if math.prod(s) <= max_size]
+    assert [row["dims"] for row in rows] == ["x".join(map(str, s)) for s in shapes]
+    for row, shape in zip(rows, shapes):
+        assert float(row["per_site"]) == float(row["log_radius"]) / math.prod(shape)
+    # dimer covers are a subset of monomer-dimer covers of the same section
+    _, md_out, _ = run_cli(capsys, "table", "--which", str(md_which),
+                           "--max-size", str(max_size))
+    monomer_dimer = {row["dims"]: float(row["log_radius"]) for row in parse_csv(md_out)[1]}
+    for row in rows:
+        assert float(row["log_radius"]) < monomer_dimer[row["dims"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("beta", "--dims", "4", "--max-iters", "5", "--tol", "-1"),
+    ("beta", "--dims", "4", "--max-iters", "5", "--tol", "nan"),
+    ("table", "--which", "1", "--max-size", "6", "--max-iters", "5", "--tol", "inf"),
+    ("bounds", "--target", "h2", "--upper", "2", "--lower", "1,1", "--tol", "nan"),
+    ("beta", "--dims", "4", "--shift", "0"),
+    ("beta", "--dims", "4", "--shift", "inf"),
+    ("table", "--which", "1", "--max-size", "6", "--shift", "-1"),
+    ("beta", "--dims", "4", "--max-iters", "0"),
+    ("table", "--which", "2", "--max-size", "6", "--max-iters", "-3"),
+    ("verify", "--max-points", "0"),
+])
+def test_out_of_range_flags_are_argparse_errors(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == EXIT_USAGE
+    assert "must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -258,8 +271,7 @@ def test_table_size_limits(capsys, monkeypatch):
     ("lambda", "--d", "3", "--grid", "0.1", "--format", "json"),
     ("table", "--which", "1", "--max-size", "6", "--format", "json"),
 ])
-def test_json_records_validate(capsys, monkeypatch, argv):
-    monkeypatch.delenv("MDENTROPY_THREADS", raising=False)
+def test_json_records_validate(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     record = json.loads(out)
@@ -280,6 +292,10 @@ def test_version_flag(capsys):
 def test_unknown_choice_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["bounds", "--target", "h4", "--upper", "1", "--lower", "1,1"])
+    assert excinfo.value.code == 2
+    # table takes no thread-count flag
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table", "--which", "1", "--max-size", "6", "--threads", "2"])
     assert excinfo.value.code == 2
 
 

@@ -157,3 +157,7 @@ def test_validation_errors():
         operator_power_method(PATH_GRAPH.__matmul__, 0)
     with pytest.raises(ValueError):
         operator_power_method(PATH_GRAPH.__matmul__, 3, shift=-1.0)
+    with pytest.raises(ValueError):
+        power_method(np.ones((2, 2)), max_iter=0)
+    with pytest.raises(ValueError):
+        operator_power_method(PATH_GRAPH.__matmul__, 3, max_iter=0)
