@@ -4,14 +4,28 @@ A cover of a subset U of section points places on each point of U either a
 monomer, half of a dimer lying on an adjacency edge inside U (counted with
 edge multiplicity), or half of a dimer protruding out of the section
 through one of the point's protrusion slots.  Dimer-only tables drop the
-monomer option.  With v the lowest point of U, the counts obey
+monomer option.  A point covered alone (a monomer or a protruding dimer)
+carries the weight `monomer_ok + slots(v)`; an edge {v, w} carries its
+multiplicity.
 
-    count(U) = (monomer_ok + slots(v)) * count(U - v)
-             + sum over edges {v, w}, w in U, of mult(v, w) * count(U - v - w)
+`place_pieces` is the one kernel that accumulates covers.  On a vector z
+indexed by subset masks it places every piece once, in place: a point
+piece at v adds weight * z(A - v) into each z(A) with v in A, an edge
+adds mult * z(A - v - w) into each z(A) holding both ends.  Each update
+reads only entries it does not write and the updates commute, so
+afterwards z(U) sums c(U - T) * z0(T) over the subsets T of U, with c the
+cover counts.  Started from the indicator of the empty mask, that is the
+table itself, so the whole table over 2^n subsets is filled by one piece
+per site and edge, O(n * deg * 2^n) vectorized additions.  A trailing
+batch axis, z of shape (2^n, B), runs B such sums at once; the transfer
+sweep of `transfer.sweep_apply` is this kernel followed by a reversal.
 
-and the whole table over 2^n subsets is filled in one bottom-up pass over
-bitmasks, since removing points from a mask only decreases its value.
-All counts are exact Python integers.
+Counts are exact.  The table is accumulated in int64 only when the
+product over points of (weight + sum of edge multiplicities at the point)
+is below 2^63: every cover assigns each point one of those choices, so the
+product bounds every count, and the partial sums, which only grow, never
+exceed the final counts.  Otherwise it is accumulated in Python integers
+(object dtype).  Either way `counts` is a list of Python integers.
 
 The four section kinds fix which dimers are admissible:
 
@@ -29,6 +43,9 @@ the torus kind.
 from __future__ import annotations
 
 import enum
+from math import prod
+
+import numpy as np
 
 from .lattice import (
     Adjacency,
@@ -40,6 +57,7 @@ from .lattice import (
 )
 
 MAX_TABLE_POINTS = 20
+_INT64_LIMIT = 1 << 63
 
 
 class SectionKind(enum.Enum):
@@ -65,6 +83,35 @@ def section_config(shape: LatticeShape, kind: SectionKind) -> tuple[Adjacency, t
     raise ValueError(f"unknown section kind {kind!r}")
 
 
+def exact_dtype(bound: int):
+    """Dtype for nonnegative integers at most `bound`: int64 below 2^63, else object."""
+    return np.int64 if bound < _INT64_LIMIT else object
+
+
+def place_pieces(z: np.ndarray, point_weights, edges) -> None:
+    """Place every point piece and edge once on z, in place.
+
+    `z` is C-contiguous with leading axis of length 2^n, indexed by subset
+    masks, and an optional trailing batch axis; its dtype decides the
+    arithmetic.  `point_weights[v]` weighs the piece covering v alone and
+    `edges` holds (v, w, multiplicity) with v < w.
+    """
+    if not z.flags.c_contiguous:
+        raise ValueError("pieces are placed through reshaped views of a C-contiguous array")
+    b = z.size // z.shape[0]
+    for v, weight in enumerate(point_weights):
+        if weight:
+            axis = z.reshape(-1, 2, b << v)
+            _add_scaled(axis[:, 1], axis[:, 0], weight)
+    for v, w, mult in edges:
+        pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
+        _add_scaled(pair[:, 1, :, 1], pair[:, 0, :, 0], mult)
+
+
+def _add_scaled(target: np.ndarray, source: np.ndarray, factor: int) -> None:
+    target += source if factor == 1 else factor * source
+
+
 class CoverTable:
     """Cover counts for all 2^n subsets of one section configuration."""
 
@@ -86,22 +133,14 @@ class CoverTable:
         self.counts = self._build()
 
     def _build(self) -> list[int]:
-        nbr_bits = [
-            tuple((1 << j, mult) for j, mult in lst)
-            for lst in self.adjacency.neighbor_lists()
-        ]
-        point_weight = self.point_weights
-        counts = [0] * (self.full + 1)
-        counts[0] = 1
-        for mask in range(1, self.full + 1):
-            v = (mask & -mask).bit_length() - 1
-            rest = mask & (mask - 1)
-            total = point_weight[v] * counts[rest]
-            for wbit, mult in nbr_bits[v]:
-                if rest & wbit:
-                    total += mult * counts[rest ^ wbit]
-            counts[mask] = total
-        return counts
+        bound = prod(
+            weight + sum(mult for _, mult in nbrs)
+            for weight, nbrs in zip(self.point_weights, self.adjacency.neighbor_lists())
+        )
+        z = np.zeros(self.full + 1, dtype=exact_dtype(bound))
+        z[0] = 1
+        place_pieces(z, self.point_weights, self.adjacency.edges)
+        return z.tolist()
 
     def count(self, mask: int) -> int:
         """Covers of the subset given by `mask`."""

@@ -52,6 +52,16 @@ class SpectralBracket:
         return self.upper - self.lower
 
 
+def _check_iteration(shift, tol, max_iter) -> None:
+    # a NaN or negative tol never meets the width test and runs to max_iter
+    if not 0 < shift < math.inf:
+        raise ValueError("shift must be positive and finite")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def _iterate(apply, weights, shift, tol, max_iter, history, component):
     x = np.ones(len(weights))
     lower = -math.inf
@@ -104,10 +114,7 @@ def power_method(matrix, weights=None, shift: float = 1.0, tol: float = 1e-12,
     m = mat.shape[0]
     if mat.shape != (m, m):
         raise ValueError("matrix must be square")
-    if shift <= 0:
-        raise ValueError("shift must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_iteration(shift, tol, max_iter)
     minval = mat.min() if dense else (mat.data.min() if mat.nnz else 0.0)
     if minval < 0:
         raise ValueError("matrix must be nonnegative")
@@ -164,8 +171,5 @@ def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-
     """
     if size < 1:
         raise ValueError("operator size must be positive")
-    if shift <= 0:
-        raise ValueError("shift must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_iteration(shift, tol, max_iter)
     return _iterate(apply, np.ones(size), shift, tol, max_iter, history, 0)

@@ -7,17 +7,22 @@ the subset convolution
 
     (M x)(S) = sum over T inside the complement U of S of c(U - T) x(T)
 
-with c the cover counts.  `sweep_apply` evaluates it without the matrix,
-in one sweep over the sites and edges of the section.  A cover is a set of disjoint pieces, and placing one
-piece is an in-place update of the 2^n vector z (initially x) over the
-bit axes of its sites: a monomer at v adds weight * z(A - v) into every
-z(A) with v in A, a dimer {v, w} adds mult * z(A - v - w) into every z(A)
-holding both.  Each update reads only entries it does not write, and the
-updates commute, so after one update per piece z(U) sums c(U - T) x(T)
-over T inside U, and the product at S is z(full - U).  That costs
-O(n * deg * 2^n) additions of nonnegative numbers, in float64 for
-spectral brackets and in Python integers (object dtype) for exact traces
-and boundary quadratic forms.
+with c the cover counts.  `sweep_apply` evaluates it without the matrix:
+`matchcount.place_pieces` places every piece of the section once on a
+copy z of x, after which z(U) sums c(U - T) x(T) over T inside U, and the
+product at S is z(full - U), so the result is z reversed along the mask
+axis.  That costs O(n * deg * 2^n) additions of nonnegative numbers, in
+the dtype of x: float64 for spectral brackets, Python integers (object
+dtype) for `matvec_exact` and boundary quadratic forms.  A trailing batch
+axis, x of shape (2^n, B), applies the matrix to B columns in one sweep.
+
+`full_trace_power` sweeps its basis columns (every mask, or one
+representative per orbit) together, in blocks of at most 2^20 entries,
+and sums the weighted diagonal in Python integers.  It computes in int64
+when R^q < 2^63, where R, the sum of all cover counts, is the row sum of
+row 0 and the largest row sum: every entry of M^k X on 0/1 columns X is
+at most R^k, and the sweep's partial sums never exceed the entries they
+add up to.  Otherwise it computes in Python integers.
 
 Folding columns over the mask orbits of a group that preserves the matrix
 gives the quotient
@@ -40,11 +45,12 @@ import numpy as np
 from scipy import sparse
 
 from .lattice import CapacityError
-from .matchcount import CoverTable
+from .matchcount import CoverTable, exact_dtype, place_pieces
 from .symmetry import OrbitSpace
 
 MAX_FULL_MATRIX_POINTS = 14
 _FLOAT_EXACT_LIMIT = 1 << 53
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -118,25 +124,15 @@ def weighted_symmetry_ok(qm: QuotientMatrix) -> bool:
 def sweep_apply(table: CoverTable, x: np.ndarray) -> np.ndarray:
     """Full transfer matrix of `table` times x, one in-place update per piece.
 
-    `x` has length 2^n; the result has its dtype, so float64 input gives a
-    float64 product and object input an exact integer one.
+    `x` has shape (2^n,) or, for a batch of B vectors, (2^n, B); the result
+    has its shape and dtype, so float64 input gives a float64 product and
+    object input an exact integer one.
     """
-    n = table.shape.n
     z = np.array(x, order="C")
-    if z.shape != (1 << n,):
-        raise ValueError(f"vector of length {z.size} does not match {1 << n} masks")
-    for v, weight in enumerate(table.point_weights):
-        if weight:
-            axis = z.reshape(-1, 2, 1 << v)
-            _add_scaled(axis[:, 1], axis[:, 0], weight)
-    for v, w, mult in table.adjacency.edges:
-        pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, 1 << v)
-        _add_scaled(pair[:, 1, :, 1], pair[:, 0, :, 0], mult)
+    if z.ndim not in (1, 2) or z.shape[0] != table.full + 1:
+        raise ValueError(f"array of shape {z.shape} does not match {table.full + 1} masks")
+    place_pieces(z, table.point_weights, table.adjacency.edges)
     return z[::-1]
-
-
-def _add_scaled(target: np.ndarray, source: np.ndarray, factor: int) -> None:
-    target += source if factor == 1 else factor * source
 
 
 def matvec_exact(table: CoverTable, x: list[int]) -> list[int]:
@@ -150,6 +146,8 @@ def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None
     With an orbit space supplied, only one diagonal entry per orbit is
     computed and weighted by the orbit size; the diagonal of a power is
     constant on orbits because the group conjugates the matrix to itself.
+    The basis vectors of the diagonal entries are swept together, in
+    blocks of at most 2^20 entries.
     """
     n = table.shape.n
     if n > MAX_FULL_MATRIX_POINTS:
@@ -161,16 +159,23 @@ def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None
     if q == 0:
         return 1 << n
     if orbits is not None:
-        pairs = zip(orbits.reps, orbits.sizes)
+        reps, weights = list(orbits.reps), list(orbits.sizes)
     else:
-        pairs = ((i, 1) for i in range(1 << n))
+        reps, weights = list(range(1 << n)), [1] * (1 << n)
+    # entries of M^k X on basis columns X are at most R^k, with R the
+    # largest row sum of M, which is row 0: the sum of all cover counts
+    dtype = exact_dtype(sum(table.counts) ** q)
+    width = max(1, _BLOCK_ENTRIES >> n)
     total = 0
-    for rep, weight in pairs:
-        x = [0] * (1 << n)
-        x[rep] = 1
+    for start in range(0, len(reps), width):
+        rows = reps[start:start + width]
+        cols = np.arange(len(rows))
+        z = np.zeros((1 << n, len(rows)), dtype=dtype)
+        z[rows, cols] = 1
         for _ in range(q):
-            x = matvec_exact(table, x)
-        total += weight * x[rep]
+            z = sweep_apply(table, z)
+        diagonal = z[rows, cols].tolist()
+        total += sum(w * d for w, d in zip(weights[start:start + width], diagonal))
     return total
 
 

@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from mdentropy.bounds import one_dim_counts
 from mdentropy.lattice import CapacityError, LatticeShape
-from mdentropy.matchcount import CoverTable, SectionKind
+from mdentropy.matchcount import CoverTable, SectionKind, exact_dtype
 from mdentropy.oracle import (
     count_covers,
     count_subset_covers,
@@ -110,10 +111,32 @@ def test_transpose_invariance():
 def test_subset_covers_match_the_tables(dims, kind, dimer_only):
     shape = LatticeShape(dims)
     table = CoverTable(shape, kind, dimer_only)
-    rng = random.Random(97)
-    masks = {0, table.full} | {rng.randrange(table.full + 1) for _ in range(30)}
-    for mask in sorted(masks):
+    assert all(type(c) is int for c in table.counts)
+    if shape.n <= 6:
+        masks = range(table.full + 1)
+    else:
+        rng = random.Random(97)
+        masks = sorted({0, table.full} | {rng.randrange(table.full + 1) for _ in range(30)})
+    for mask in masks:
         assert count_subset_covers(dims, kind, mask, dimer_only) == table.count(mask)
+
+
+def test_table_dtype_rule():
+    assert exact_dtype((1 << 63) - 1) is np.int64
+    assert exact_dtype(1 << 63) is object
+
+
+def test_object_table_matches_enumeration():
+    # every extent-1 direction gives each point two protrusion slots, so
+    # the full count passes 2^63 and the table is built in Python integers
+    dims = (12,) + (1,) * 19
+    table = CoverTable(LatticeShape(dims), SectionKind.PROTRUDING)
+    assert table.count(table.full) >= 1 << 63
+    assert all(type(c) is int for c in table.counts)
+    rng = random.Random(5)
+    masks = {0, table.full} | {rng.randrange(table.full + 1) for _ in range(60)}
+    for mask in sorted(masks):
+        assert count_subset_covers(dims, SectionKind.PROTRUDING, mask) == table.count(mask)
 
 
 def test_identity_checks_pass_for_small_sections():

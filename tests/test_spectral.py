@@ -161,3 +161,15 @@ def test_validation_errors():
         power_method(np.ones((2, 2)), max_iter=0)
     with pytest.raises(ValueError):
         operator_power_method(PATH_GRAPH.__matmul__, 3, max_iter=0)
+    # a NaN or negative tol never closes the bracket; max_iter keeps a
+    # missed rejection short
+    for tol in (math.nan, -1.0):
+        with pytest.raises(ValueError):
+            power_method(np.ones((2, 2)), tol=tol, max_iter=5)
+        with pytest.raises(ValueError):
+            operator_power_method(PATH_GRAPH.__matmul__, 3, tol=tol, max_iter=5)
+    for shift in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            power_method(np.ones((2, 2)), shift=shift, max_iter=5)
+        with pytest.raises(ValueError):
+            operator_power_method(PATH_GRAPH.__matmul__, 3, shift=shift, max_iter=5)

@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from mdentropy.lattice import CapacityError, LatticeShape
-from mdentropy.matchcount import CoverTable, SectionKind
+from mdentropy.matchcount import CoverTable, SectionKind, place_pieces
 from mdentropy.symmetry import compute_orbits, generate_motion_group, identity_perm
 from mdentropy.transfer import (
     MAX_FULL_MATRIX_POINTS,
@@ -121,6 +121,20 @@ def test_matvec_matches_dense_product(dims, kind, dimer_only):
                                full_matrix_sparse(table) @ xf, rtol=1e-13)
 
 
+@pytest.mark.parametrize("dimer_only", [False, True])
+@pytest.mark.parametrize("kind", list(SectionKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("dims", [(3, 2), (2, 2)], ids=["3x2", "2x2"])
+def test_batched_sweep_matches_column_sweeps(dims, kind, dimer_only):
+    table = CoverTable(LatticeShape(dims), kind, dimer_only)
+    rng = np.random.default_rng(23)
+    ints = rng.integers(0, 50, size=(table.full + 1, 5))
+    for x in (rng.random((table.full + 1, 5)), ints, ints.astype(object)):
+        batched = sweep_apply(table, x)
+        assert batched.shape == x.shape and batched.dtype == x.dtype
+        for j in range(x.shape[1]):
+            assert np.array_equal(batched[:, j], sweep_apply(table, x[:, j]))
+
+
 def _torus_sections(max_points):
     yield from ((m,) for m in range(1, max_points + 1))
     yield from ((a, b) for a in range(2, max_points // 2 + 1)
@@ -188,6 +202,32 @@ def test_trace_and_form_transpose_symmetry():
         assert form == trace
 
 
+@pytest.mark.parametrize("m", [11, 12])
+def test_single_layer_trace_over_several_blocks(m):
+    # only the empty mask meets itself: trace(M) = c(full); 2^m basis
+    # columns of 2^m entries fill several 2^20-entry blocks
+    table = torus_table((m,))
+    assert full_trace_power(table, 1) == table.count(table.full)
+
+
+@pytest.mark.parametrize("q", [16, 40])
+def test_trace_on_both_sides_of_the_int64_bound(q):
+    # the row sums of the 3-ring matrix are at most 14 and 14^16 < 2^63, so
+    # q = 16 runs in int64; q = 40 runs in Python integers and its trace
+    # itself passes 2^63
+    table = torus_table((3,))
+    assert (sum(table.counts) ** q >= 1 << 63) == (q == 40)
+    want = 0
+    for rep in range(table.full + 1):
+        x = [0] * (table.full + 1)
+        x[rep] = 1
+        for _ in range(q):
+            x = matvec_exact(table, x)
+        want += x[rep]
+    assert (want >= 1 << 63) == (q == 40)
+    assert full_trace_power(table, q) == want
+
+
 def test_zeroth_power_trace_counts_states():
     assert full_trace_power(torus_table((4,)), 0) == 16
     assert full_trace_power(torus_table((2, 2)), 0) == 16
@@ -215,6 +255,12 @@ def test_validation_errors():
         quadratic_form_count(table, 1)
     with pytest.raises(ValueError):
         sweep_apply(table, np.ones(7))
+    with pytest.raises(ValueError):
+        sweep_apply(table, np.ones((7, 2)))
+    with pytest.raises(ValueError):
+        sweep_apply(table, np.ones((8, 2, 2)))
+    with pytest.raises(ValueError):
+        place_pieces(np.ones((8, 2))[:, 0], table.point_weights, table.adjacency.edges)
     orbits = compute_orbits(generate_motion_group(LatticeShape((4,))), 4)
     with pytest.raises(ValueError):
         build_quotient(table, orbits)
