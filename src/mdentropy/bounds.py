@@ -43,12 +43,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .lattice import CapacityError, LatticeShape
-from .matchcount import CoverTable, SectionKind
+from .matchcount import CoverTable, SectionKind, SectionPieces
 from .spectral import SpectralBracket, operator_power_method, power_method
 from .symmetry import burnside_orbit_count, compute_orbits, generate_motion_group
 from .transfer import QuotientMatrix, build_quotient, sweep_apply
@@ -88,14 +88,28 @@ def _section_shape(dims: tuple[int, ...]) -> LatticeShape:
     return shape
 
 
-@lru_cache(maxsize=None)
-def section_quotient(dims: tuple[int, ...], dimer_only: bool = False) -> QuotientMatrix:
-    """Orbit-folded torus transfer matrix for a section, cached.
+def _cached_by_section(fn):
+    """Cache `fn` on canonical dims, so every axis order of a section shares an entry.
 
-    Dims are canonicalized by sorting: transposing axes is a relabeling
-    automorphism of the torus, so spectrum and orbit structure agree.
+    Transposing axes is a relabeling automorphism of the torus, so
+    spectrum and orbit structure agree.  The returned function keeps the
+    cache's `cache_info` and `cache_clear`.
     """
-    shape = _section_shape(_canonical(dims))
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def lookup(dims, *args, **kwargs):
+        return cached(_canonical(dims), *args, **kwargs)
+
+    lookup.cache_info = cached.cache_info
+    lookup.cache_clear = cached.cache_clear
+    return lookup
+
+
+@_cached_by_section
+def section_quotient(dims: tuple[int, ...], dimer_only: bool = False) -> QuotientMatrix:
+    """Orbit-folded torus transfer matrix for a section, cached on its sorted dims."""
+    shape = _section_shape(dims)
     table = CoverTable(shape, SectionKind.TORUS, dimer_only)
     group = generate_motion_group(shape)
     orbits = compute_orbits(group, shape.n)
@@ -113,7 +127,7 @@ def _exact_log_bracket(value: float, shift: float) -> SpectralBracket:
                            iterations=0, shift=shift, converged=True)
 
 
-@lru_cache(maxsize=None)
+@_cached_by_section
 def transfer_log_radius(dims: tuple[int, ...], dimer_only: bool = False,
                         tol: float = 1e-12, shift: float = 1.0,
                         max_iter: int = 1_000_000) -> SpectralBracket:
@@ -123,7 +137,6 @@ def transfer_log_radius(dims: tuple[int, ...], dimer_only: bool = False,
     nonzero extents): each remaining point contributes an independent
     binary choice, for dimer-only sections as well.
     """
-    dims = _canonical(dims)
     if any(m == 0 for m in dims):
         points = prod(m for m in dims if m) if any(dims) else 1
         return _exact_log_bracket(points * math.log(2.0), shift)
@@ -135,8 +148,8 @@ def transfer_log_radius(dims: tuple[int, ...], dimer_only: bool = False,
         bracket, _ = power_method(qm.to_dense(), weights=qm.weight_vector(),
                                   shift=shift, tol=tol, max_iter=max_iter)
     else:
-        table = CoverTable(_section_shape(dims), SectionKind.TORUS)
-        bracket, _ = operator_power_method(partial(sweep_apply, table), table.full + 1,
+        pieces = SectionPieces(_section_shape(dims), SectionKind.TORUS)
+        bracket, _ = operator_power_method(partial(sweep_apply, pieces), pieces.full + 1,
                                            shift=shift, tol=tol, max_iter=max_iter)
 
     def safe_log(x: float) -> float:
@@ -187,7 +200,14 @@ def h3_bounds(r: int, t: int, p: int, q: int, u: int, s: int, v: int,
     """Upper and lower bounds on h3 from 2-D section growth rates."""
     if min(r, t, p, u, v) < 1 or q < 0 or s < 0:
         raise ValueError("need r, t, p, u, v >= 1 and q, s >= 0")
-    wide = transfer_log_radius((2 * r, 2 * t), dimer_only, tol)
+
+    def radius(*dims):
+        # the formulas name some sections in both axis orders, e.g. (4, 2)
+        # and (2, 4); passing canonical dims makes them one lookup key for
+        # anything that watches the calls, as they are one cache entry
+        return transfer_log_radius(_canonical(dims), dimer_only, tol)
+
+    wide = radius(2 * r, 2 * t)
     upper = EntropyBound(
         target=_target(3, dimer_only), direction="upper",
         value=wide.upper / (4 * r * t),
@@ -195,9 +215,9 @@ def h3_bounds(r: int, t: int, p: int, q: int, u: int, s: int, v: int,
         params={"r": r, "t": t, "dims": [2 * r, 2 * t]},
         converged=wide.converged,
     )
-    top = transfer_log_radius((p + 2 * q, u + 2 * s), dimer_only, tol)
-    base = transfer_log_radius((p + 2 * q, 2 * s), dimer_only, tol)
-    tail = transfer_log_radius((2 * q, 2 * v), dimer_only, tol)
+    top = radius(p + 2 * q, u + 2 * s)
+    base = radius(p + 2 * q, 2 * s)
+    tail = radius(2 * q, 2 * v)
     lower = EntropyBound(
         target=_target(3, dimer_only), direction="lower",
         value=(top.lower - base.upper) / (u * p) - tail.upper / (2 * v * p),

@@ -112,14 +112,15 @@ def _add_scaled(target: np.ndarray, source: np.ndarray, factor: int) -> None:
     target += source if factor == 1 else factor * source
 
 
-class CoverTable:
-    """Cover counts for all 2^n subsets of one section configuration."""
+class SectionPieces:
+    """The pieces from which covers of one section configuration are built.
+
+    `point_weights[v]` counts the ways to cover v alone, `adjacency.edges`
+    holds the edge pieces (v, w, multiplicity); that is all `place_pieces`
+    and the transfer sweep read, so no cover count is computed here.
+    """
 
     def __init__(self, shape: LatticeShape, kind: SectionKind, dimer_only: bool = False):
-        if shape.n > MAX_TABLE_POINTS:
-            raise CapacityError(
-                f"{shape.n} points exceed the {MAX_TABLE_POINTS}-point table limit"
-            )
         self.shape = shape
         self.kind = kind
         self.dimer_only = bool(dimer_only)
@@ -130,6 +131,17 @@ class CoverTable:
             (0 if self.dimer_only else 1) + s for s in self.slots
         )
         self.full = (1 << shape.n) - 1
+
+
+class CoverTable(SectionPieces):
+    """Cover counts for all 2^n subsets of one section configuration."""
+
+    def __init__(self, shape: LatticeShape, kind: SectionKind, dimer_only: bool = False):
+        if shape.n > MAX_TABLE_POINTS:
+            raise CapacityError(
+                f"{shape.n} points exceed the {MAX_TABLE_POINTS}-point table limit"
+            )
+        super().__init__(shape, kind, dimer_only)
         self.counts = self._build()
 
     def _build(self) -> list[int]:

@@ -7,7 +7,8 @@ the subset convolution
 
     (M x)(S) = sum over T inside the complement U of S of c(U - T) x(T)
 
-with c the cover counts.  `sweep_apply` evaluates it without the matrix:
+with c the cover counts.  `sweep_apply` evaluates it without the matrix
+or the counts, from the section's pieces alone (a `SectionPieces`):
 `matchcount.place_pieces` places every piece of the section once on a
 copy z of x, after which z(U) sums c(U - T) x(T) over T inside U, and the
 product at S is z(full - U), so the result is z reversed along the mask
@@ -31,26 +32,37 @@ gives the quotient
 
 which keeps the spectral radius of the full matrix and is self-adjoint
 under the orbit-size weighted inner product: w_a * q[a][b] = w_b * q[b][a].
-Quotient entries are assembled exactly in Python integers by enumerating
-the submasks of each representative's complement, 3^n / |G| steps.  That
-walk, and the one behind the float64 sparse form of the full matrix, are
-kept as references independent of the sweep.
+
+The quotient and the float64 sparse form of the full matrix are kept as
+references independent of the sweep: both read the cover counts entry by
+entry through `disjoint_pairs`, which lists every pair (S, T) of
+disjoint masks for given rows S in bounded blocks of numpy arrays, about
+3^n / |G| pairs for the quotient and 3^n for the full matrix.  The
+quotient adds counts into (representative, orbit of T) in int64 when the
+sum of all counts, which bounds every row sum, is below 2^63, and in
+Python integers otherwise; either way its entries must stay below 2^53,
+since they are iterated in float64, and so must every count the sparse
+form stores.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .lattice import CapacityError
-from .matchcount import CoverTable, exact_dtype, place_pieces
+from .matchcount import CoverTable, SectionPieces, exact_dtype, place_pieces
 from .symmetry import OrbitSpace
 
 MAX_FULL_MATRIX_POINTS = 14
 _FLOAT_EXACT_LIMIT = 1 << 53
 _BLOCK_ENTRIES = 1 << 20
+# pairs per block of `disjoint_pairs`; each pair takes some 30 bytes of
+# temporaries in its callers, so a block stays near 2 MB
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass
@@ -75,6 +87,32 @@ class QuotientMatrix:
         return self.weights.astype(np.float64)
 
 
+def disjoint_pairs(rows: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair (i, T) with T inside the complement of S = rows[i], in blocks.
+
+    `rows` holds masks over n points.  Yields (index, t) int32 arrays of
+    row indices and masks, of at most max(2^16, 2^n) pairs each; within
+    one row the masks T ascend.  Rows are taken by their number k of free
+    points (points outside S), so each block holds rows with 2^k pairs
+    apiece, and T is expanded one free point at a time: the point stays
+    outside S | T or joins T.  Points of S are never visited.
+    """
+    comp = ((1 << n) - 1) ^ np.asarray(rows, dtype=np.int32)
+    free = sum((comp >> v) & 1 for v in range(n))
+    for k in range(n + 1):
+        members = np.flatnonzero(free == k).astype(np.int32)
+        step = max(1, _PAIR_BLOCK >> k)
+        for start in range(0, len(members), step):
+            index = members[start:start + step]
+            spare = comp[index]
+            t = np.zeros((len(index), 1), dtype=np.int32)
+            for _ in range(k):
+                point = spare & -spare
+                spare ^= point
+                t = np.concatenate([t, t | point[:, None]], axis=1)
+            yield np.repeat(index, 1 << k), t.ravel()
+
+
 def build_quotient(table: CoverTable, orbits: OrbitSpace) -> QuotientMatrix:
     """Fold the full transfer matrix of `table` over mask orbits.
 
@@ -82,30 +120,27 @@ def build_quotient(table: CoverTable, orbits: OrbitSpace) -> QuotientMatrix:
     matrix; the rigid motions of the section torus qualify for the torus
     kind, which is the kind spectral radii are computed from.
     """
-    if orbits.n != table.shape.n:
+    n = table.shape.n
+    if orbits.n != n:
         raise ValueError("orbit space and cover table disagree on point count")
-    counts = table.counts
-    orbit_of = orbits.orbit_of
-    full = table.full
+    # an entry is at most its row sum, and row 0's, the sum of all counts,
+    # is the largest
+    dtype = exact_dtype(sum(table.counts))
+    counts = np.array(table.counts, dtype=dtype)
+    orbit_of = np.array(orbits.orbit_of, dtype=np.int32)
+    reps = np.array(orbits.reps, dtype=np.int32)
     size = orbits.size
-    entries = np.zeros((size, size), dtype=np.int64)
-    for a, rep in enumerate(orbits.reps):
-        comp = full ^ rep
-        row = [0] * size
-        sub = comp
-        while True:
-            row[orbit_of[sub]] += counts[comp ^ sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & comp
-        if max(row) >= _FLOAT_EXACT_LIMIT:
-            raise CapacityError("quotient entry exceeds exact float64 range")
-        entries[a] = row
+    entries = np.zeros((size, size), dtype=dtype)
+    for index, t in disjoint_pairs(reps, n):
+        np.add.at(entries.reshape(-1), index.astype(np.intp) * size + orbit_of[t],
+                  counts[table.full ^ (reps[index] | t)])
+    if entries.max() >= _FLOAT_EXACT_LIMIT:
+        raise CapacityError("quotient entry exceeds exact float64 range")
     return QuotientMatrix(
         dims=table.shape.dims,
         kind=table.kind.value,
         dimer_only=table.dimer_only,
-        entries=entries,
+        entries=entries.astype(np.int64, copy=False),
         weights=np.asarray(orbits.sizes, dtype=np.int64),
     )
 
@@ -121,12 +156,13 @@ def weighted_symmetry_ok(qm: QuotientMatrix) -> bool:
     return True
 
 
-def sweep_apply(table: CoverTable, x: np.ndarray) -> np.ndarray:
+def sweep_apply(table: SectionPieces, x: np.ndarray) -> np.ndarray:
     """Full transfer matrix of `table` times x, one in-place update per piece.
 
     `x` has shape (2^n,) or, for a batch of B vectors, (2^n, B); the result
     has its shape and dtype, so float64 input gives a float64 product and
-    object input an exact integer one.
+    object input an exact integer one.  Only the pieces of `table` are
+    read, so a `SectionPieces` serves as well as a `CoverTable`.
     """
     z = np.array(x, order="C")
     if z.ndim not in (1, 2) or z.shape[0] != table.full + 1:
@@ -207,26 +243,20 @@ def full_matrix_sparse(table: CoverTable) -> sparse.csr_matrix:
         raise CapacityError(
             f"{n} points exceed the {MAX_FULL_MATRIX_POINTS}-point full-matrix limit"
         )
-    counts = table.counts
-    full = table.full
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for i in range(full + 1):
-        comp = full ^ i
-        sub = comp
-        while True:
-            c = counts[comp ^ sub]
-            if c:
-                if c >= _FLOAT_EXACT_LIMIT:
-                    raise CapacityError("entry exceeds exact float64 range")
-                rows.append(i)
-                cols.append(sub)
-                data.append(float(c))
-            if sub == 0:
-                break
-            sub = (sub - 1) & comp
+    # every count c(U) is the entry (complement of U, 0)
+    if max(table.counts) >= _FLOAT_EXACT_LIMIT:
+        raise CapacityError("entry exceeds exact float64 range")
+    counts = np.array(table.counts, dtype=np.float64)
+    rows, cols, data = [], [], []
+    # every mask is a row, so a row index is its mask S
+    for s, t in disjoint_pairs(np.arange(table.full + 1), n):
+        c = counts[table.full ^ (s | t)]
+        keep = np.flatnonzero(c)
+        rows.append(s[keep])
+        cols.append(t[keep])
+        data.append(c[keep])
     mat = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(full + 1, full + 1), dtype=np.float64
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(table.full + 1, table.full + 1), dtype=np.float64,
     )
     return mat.tocsr()

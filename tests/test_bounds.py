@@ -61,6 +61,18 @@ def test_section_dims_are_canonicalized():
     assert transfer_log_radius((2, 3)).lower == transfer_log_radius((3, 2)).lower
 
 
+@pytest.mark.parametrize("cached", [section_quotient, transfer_log_radius],
+                         ids=lambda f: f.__name__)
+def test_swapped_dims_share_one_cache_entry(cached):
+    cached.cache_clear()
+    cached((2, 3))
+    cached((3, 2))
+    info = cached.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    cached.cache_clear()
+    assert cached.cache_info().currsize == 0
+
+
 def test_section_orbit_counts():
     assert section_orbit_count((4,)) == 6
     assert section_orbit_count((8,)) == 30

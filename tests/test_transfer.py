@@ -5,12 +5,18 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from mdentropy.lattice import CapacityError, LatticeShape
-from mdentropy.matchcount import CoverTable, SectionKind, place_pieces
-from mdentropy.symmetry import compute_orbits, generate_motion_group, identity_perm
+from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, place_pieces
+from mdentropy.symmetry import (
+    compute_orbits,
+    generate_motion_group,
+    identity_perm,
+    reflection_perm,
+)
 from mdentropy.transfer import (
     MAX_FULL_MATRIX_POINTS,
     QuotientMatrix,
     build_quotient,
+    disjoint_pairs,
     full_matrix_sparse,
     full_trace_power,
     matvec_exact,
@@ -55,12 +61,14 @@ def test_two_point_ring_quotient_by_hand():
 
 
 def test_trivial_group_quotient_is_the_full_matrix():
-    table = torus_table((3,))
-    orbits = compute_orbits((identity_perm(3),), 3)
-    qm = build_quotient(table, orbits)
-    assert qm.size == table.full + 1
-    assert np.array_equal(qm.to_dense(), dense_full(table))
-    assert qm.weights.tolist() == [1] * qm.size
+    for dims in [(3,), (4,), (3, 2), (2, 2)]:
+        for dimer_only in (False, True):
+            table = torus_table(dims, dimer_only)
+            n = table.shape.n
+            qm = build_quotient(table, compute_orbits((identity_perm(n),), n))
+            assert qm.size == table.full + 1
+            assert np.array_equal(qm.to_dense(), dense_full(table))
+            assert qm.weights.tolist() == [1] * qm.size
 
 
 @pytest.mark.parametrize("dims", [(2,), (3,), (4,), (6,), (2, 2), (3, 2), (3, 3)])
@@ -243,8 +251,98 @@ def test_orbit_weighted_trace_agrees(q, dimer_only):
 
 
 def test_sparse_full_matrix_matches_entries():
-    table = torus_table((4,))
-    assert np.array_equal(full_matrix_sparse(table).toarray(), dense_full(table))
+    tables = [torus_table((4,))] + [
+        CoverTable(LatticeShape(dims), kind, dimer_only)
+        for dims in [(2,), (3,), (2, 2), (3, 2)]
+        for kind in SectionKind
+        for dimer_only in (False, True)
+    ]
+    for table in tables:
+        matrix = full_matrix_sparse(table)
+        assert matrix.has_canonical_format
+        assert np.all(matrix.data != 0)
+        assert np.array_equal(matrix.toarray(), dense_full(table))
+
+
+def _fold(dense, orbits):
+    folded = np.zeros((orbits.size, orbits.size))
+    for a, rep in enumerate(orbits.reps):
+        for t, orbit in enumerate(orbits.orbit_of):
+            folded[a, orbit] += dense[rep, t]
+    return folded
+
+
+@pytest.mark.parametrize("dimer_only", [False, True])
+@pytest.mark.parametrize("dims", [(4,), (3, 2), (2, 2)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_quotient_is_the_orbit_fold_of_the_full_matrix(dims, dimer_only):
+    shape = LatticeShape(dims)
+    table = CoverTable(shape, SectionKind.TORUS, dimer_only)
+    orbits = compute_orbits(generate_motion_group(shape), shape.n)
+    qm = build_quotient(table, orbits)
+    assert qm.entries.dtype == np.int64
+    assert np.array_equal(qm.to_dense(), _fold(dense_full(table), orbits))
+    assert qm.weights.tolist() == orbits.sizes
+
+
+def _pairs(rows, n):
+    blocks = list(disjoint_pairs(np.asarray(rows), n))
+    for index, t in blocks:
+        assert index.dtype == t.dtype == np.int32
+        assert len(index) == len(t) <= max(1 << 16, 1 << n)
+    index = np.concatenate([index for index, _ in blocks])
+    t = np.concatenate([t for _, t in blocks])
+    return index, t
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 11])
+def test_pair_enumerator_over_all_rows(n):
+    # 3^11 pairs fill several blocks
+    rows = np.arange(1 << n)
+    index, t = _pairs(rows, n)
+    assert len(index) == 3 ** n
+    assert not np.any(rows[index] & t)
+    keys = (index.astype(np.int64) << n) | t
+    assert len(np.unique(keys)) == 3 ** n
+    # within a row, masks ascend
+    by_row = np.argsort(index, kind="stable")
+    assert np.array_equal(keys[by_row], np.sort(keys))
+
+
+def test_pair_enumerator_over_some_rows():
+    n = 9
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 1 << n, size=40)
+    index, t = _pairs(rows, n)
+    assert len(index) == sum(1 << (n - int(s).bit_count()) for s in rows)
+    for i, s in enumerate(rows):
+        got = sorted(t[index == i].tolist())
+        comp = ((1 << n) - 1) ^ int(s)
+        assert got == [sub for sub in range(1 << n) if sub & comp == sub]
+
+
+def test_reference_entries_past_float_range_are_capacity_errors():
+    # extent-1 directions give each point two protrusion slots, so the
+    # counts pass 2^63 and only a Python-integer path reaches the check
+    shape = LatticeShape((12,) + (1,) * 19)
+    table = CoverTable(shape, SectionKind.PROTRUDING)
+    assert max(table.counts) >= 1 << 63
+    with pytest.raises(CapacityError):
+        full_matrix_sparse(table)
+    # the box reflection along the first axis preserves the protruding matrix
+    group = (identity_perm(shape.n), reflection_perm(shape, 0))
+    with pytest.raises(CapacityError):
+        build_quotient(table, compute_orbits(group, shape.n))
+
+
+@pytest.mark.parametrize("kind", list(SectionKind), ids=lambda kind: kind.value)
+def test_sweep_reads_only_the_pieces(kind):
+    shape = LatticeShape((3, 2))
+    pieces = SectionPieces(shape, kind, dimer_only=False)
+    table = CoverTable(shape, kind)
+    assert not hasattr(pieces, "counts")
+    x = np.random.default_rng(29).random((table.full + 1, 3))
+    assert np.array_equal(sweep_apply(pieces, x), sweep_apply(table, x))
 
 
 def test_validation_errors():
