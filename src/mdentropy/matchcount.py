@@ -20,6 +20,25 @@ per site and edge, O(n * deg * 2^n) vectorized additions.  A trailing
 batch axis, z of shape (2^n, B), runs B such sums at once; the transfer
 sweep of `transfer.sweep_apply` is this kernel followed by a reversal.
 
+Each update works on a strided view whose last axis is a contiguous run
+of B << v elements, and numpy's buffered ufunc loop pays per row of that
+view.  One float64 update at n = 17 takes about 0.07 ms at bit 0 (a run
+of 1 is already a single strided column), 0.6-0.9 ms at bit 1 (a run of
+2), 0.1-0.5 ms at bits 2-11 and 0.03 ms at bits 12 and up.  So a run of
+at most `_COLUMN_RUN` = 4 elements is updated one column at a time, each
+column one long 1-D strided add: bit 1 then takes 0.07 ms and bit 2 0.13
+ms instead of 0.47.  The cutoff is measured: a run of 4 by columns also
+wins at 20 points (1.7 against 3.5 ms) and ties at 22 (12 against 13 ms)
+and 24 (55 against 53-71 ms), while a run of 8 by columns loses from 20
+points on (3.3 against 2.0 ms at 20, 101 against 52 ms at 24), because
+every column pass streams the whole array.  The columns see the same
+additions in the same piece order, so the results are bit-identical in
+every dtype, with or without a batch axis.  An update of fewer than
+`_COLUMN_MIN_SIZE` = 1024 elements stays whole: there the per-column call
+costs more than the rows it saves (a 6-point float64 sweep took 79 us by
+columns against 58 us whole), and from about 11 points up the columns
+win.
+
 Counts are exact.  The table is accumulated in int64 only when the
 product over points of (weight + sum of edge multiplicities at the point)
 is below 2^63: every cover assigns each point one of those choices, so the
@@ -58,6 +77,11 @@ from .lattice import (
 
 MAX_TABLE_POINTS = 20
 _INT64_LIMIT = 1 << 63
+# pieces whose contiguous run (the last axis of the update) holds at most
+# _COLUMN_RUN elements are placed one column at a time, unless the update
+# covers fewer than _COLUMN_MIN_SIZE elements; see the module notes
+_COLUMN_RUN = 4
+_COLUMN_MIN_SIZE = 1 << 10
 
 
 class SectionKind(enum.Enum):
@@ -109,7 +133,14 @@ def place_pieces(z: np.ndarray, point_weights, edges) -> None:
 
 
 def _add_scaled(target: np.ndarray, source: np.ndarray, factor: int) -> None:
-    target += source if factor == 1 else factor * source
+    """target += factor * source, by columns when a large update has a short last axis."""
+    run = target.shape[-1]
+    if run <= _COLUMN_RUN and target.size >= _COLUMN_MIN_SIZE:
+        pairs = [(target[..., j], source[..., j]) for j in range(run)]
+    else:
+        pairs = [(target, source)]
+    for column, values in pairs:
+        column += values if factor == 1 else factor * values
 
 
 class SectionPieces:

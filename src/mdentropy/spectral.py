@@ -20,6 +20,18 @@ operator given only by its product, such as the site sweep of the full
 transfer matrix; it iterates a single vector, which is sound only for an
 irreducible operator.
 
+A step allocates nothing of the operator's size itself: it works through
+numpy `out=` arguments in three preallocated vectors, the iterate x, its
+image y and one scratch vector for the ratios y / x and the inner-product
+terms, so the product the operator returns is the only other such vector
+alive.  Unit weights, on the operator path and for unweighted matrices,
+skip the multiplications by w; those would be exact, so no bit moves.  A
+weighted inner product multiplies w * a * b in that order, as the plain
+expression does, since the quotient's digits depend on its rounding.
+Non-finite values are caught on the two ratio extremes instead of a pass
+over y: x stays positive, so an inf or NaN anywhere in y reaches the
+minimum or the maximum of y / x, and the step raises ArithmeticError.
+
 Brackets are computed in float64 from exact integer entries;
 certification is up to roundoff in entries and products, not interval
 arithmetic.  All reductions use fixed-order numpy sums, so results do not
@@ -62,8 +74,20 @@ def _check_iteration(shift, tol, max_iter) -> None:
         raise ValueError("max_iter must be at least 1")
 
 
-def _iterate(apply, weights, shift, tol, max_iter, history, component):
-    x = np.ones(len(weights))
+def _iterate(apply, weights, size, shift, tol, max_iter, history, component):
+    x = np.ones(size)
+    y = np.empty(size)
+    scratch = np.empty(size)
+
+    def inner(a, b):
+        # sum of weights * a * b, multiplied in that order; None is unit weights
+        if weights is None:
+            np.multiply(a, b, out=scratch)
+        else:
+            np.multiply(weights, a, out=scratch)
+            np.multiply(scratch, b, out=scratch)
+        return np.sum(scratch)
+
     lower = -math.inf
     upper = math.inf
     rayleigh = math.nan
@@ -71,13 +95,15 @@ def _iterate(apply, weights, shift, tol, max_iter, history, component):
     converged = False
     while iterations < max_iter:
         iterations += 1
-        y = apply(x) + shift * x
-        if not np.all(np.isfinite(y)):
+        np.multiply(x, shift, out=y)
+        np.add(apply(x), y, out=y)
+        np.divide(y, x, out=scratch)
+        low = float(scratch.min())
+        high = float(scratch.max())
+        # x > 0, so an inf or NaN anywhere in y reaches a ratio extreme
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ArithmeticError("power iteration produced non-finite values")
-        ratios = y / x
-        low = float(ratios.min())
-        high = float(ratios.max())
-        rayleigh = float(np.sum(weights * x * y) / np.sum(weights * x * x))
+        rayleigh = float(inner(x, y) / inner(x, x))
         slack = 1e-11 * max(1.0, abs(rayleigh))
         if not (low - slack <= rayleigh <= high + slack):
             raise ArithmeticError("Rayleigh quotient escaped the ratio bracket")
@@ -89,7 +115,7 @@ def _iterate(apply, weights, shift, tol, max_iter, history, component):
         if upper - lower <= tol * max(1.0, abs(rayleigh)):
             converged = True
             break
-        x = y / math.sqrt(float(np.sum(weights * y * y)))
+        np.divide(y, math.sqrt(float(inner(y, y))), out=x)
     bracket = SpectralBracket(
         lower=lower - shift,
         upper=upper - shift,
@@ -98,7 +124,8 @@ def _iterate(apply, weights, shift, tol, max_iter, history, component):
         shift=shift,
         converged=converged,
     )
-    return bracket, x / math.sqrt(float(np.sum(weights * x * x)))
+    x /= math.sqrt(float(inner(x, x)))
+    return bracket, x
 
 
 def power_method(matrix, weights=None, shift: float = 1.0, tol: float = 1e-12,
@@ -118,8 +145,8 @@ def power_method(matrix, weights=None, shift: float = 1.0, tol: float = 1e-12,
     minval = mat.min() if dense else (mat.data.min() if mat.nnz else 0.0)
     if minval < 0:
         raise ValueError("matrix must be nonnegative")
-    w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (m,) or (w <= 0).any():
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    if w is not None and (w.shape != (m,) or (w <= 0).any()):
         raise ValueError("weights must be positive and match the matrix size")
 
     pattern = sparse.csr_matrix(mat != 0) if dense else mat
@@ -132,8 +159,8 @@ def power_method(matrix, weights=None, shift: float = 1.0, tol: float = 1e-12,
     for c in range(n_comp):
         idx = np.flatnonzero(labels == c)
         sub = mat[np.ix_(idx, idx)] if dense else mat[idx][:, idx]
-        bracket, vec = _iterate(sub.__matmul__, w[idx], shift, tol, max_iter,
-                                history, c)
+        bracket, vec = _iterate(sub.__matmul__, None if w is None else w[idx], len(idx),
+                                shift, tol, max_iter, history, c)
         total_iterations += bracket.iterations
         brackets.append(bracket)
         vectors.append(vec)
@@ -172,4 +199,4 @@ def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-
     if size < 1:
         raise ValueError("operator size must be positive")
     _check_iteration(shift, tol, max_iter)
-    return _iterate(apply, np.ones(size), shift, tol, max_iter, history, 0)
+    return _iterate(apply, None, size, shift, tol, max_iter, history, 0)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from mdentropy.bounds import (
     section_quotient,
     transfer_log_radius,
 )
-from mdentropy.lattice import CapacityError
+from mdentropy.lattice import CapacityError, LatticeShape
+from mdentropy.matchcount import SectionKind, SectionPieces
+from mdentropy.spectral import operator_power_method
+from mdentropy.transfer import sweep_apply
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -95,6 +99,23 @@ def test_section_capacity_and_validation():
         section_quotient(())
     with pytest.raises(ValueError):
         section_quotient((-2,))
+
+
+# past the desk limit, the bracket comes from the operator path directly
+@pytest.mark.parametrize("dims,log_radius,iterations", [
+    ((5, 4), 15.7213144691531, 14),
+    ((20,), 13.2559794566760, 18),
+], ids=["5x4", "20"])
+def test_twenty_point_monomer_dimer_brackets(dims, log_radius, iterations):
+    with pytest.raises(CapacityError):
+        transfer_log_radius(dims)
+    pieces = SectionPieces(LatticeShape(dims), SectionKind.TORUS)
+    bracket, _ = operator_power_method(partial(sweep_apply, pieces), pieces.full + 1)
+    assert bracket.converged
+    assert bracket.iterations == iterations
+    lower, upper = math.log(bracket.lower), math.log(bracket.upper)
+    assert lower <= log_radius <= upper
+    assert upper - lower <= 1e-12
 
 
 def test_one_dim_radius_matches_golden_ratio_limit():

@@ -310,3 +310,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("dims,orbit_count,log_radius")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# recorded stdout, one file per command; speed-ups must leave these bytes alone
+RECORDED_STDOUT = {
+    "table_1_14.csv": ("table", "--which", "1", "--max-size", "14"),
+    "table_3_14.csv": ("table", "--which", "3", "--max-size", "14"),
+    "table_2_12.csv": ("table", "--which", "2", "--max-size", "12"),
+    "bounds_h3.csv": ("bounds", "--target", "h3", "--upper", "2,2", "--lower", "2,1,1,1,2"),
+    "beta_4_3_dimer.csv": ("beta", "--dims", "4,3", "--dimer-only"),
+}
+
+
+@pytest.mark.parametrize("recorded", list(RECORDED_STDOUT))
+def test_stdout_matches_recorded_bytes(capsys, recorded):
+    code, out, err = run_cli(capsys, *RECORDED_STDOUT[recorded])
+    assert code == EXIT_OK
+    assert err == ""
+    assert out.encode() == (GOLDEN / recorded).read_bytes()

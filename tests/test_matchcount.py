@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
+from mdentropy import matchcount
 from mdentropy.bounds import one_dim_counts
 from mdentropy.lattice import CapacityError, LatticeShape
-from mdentropy.matchcount import CoverTable, SectionKind
+from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, place_pieces
 
 
 def full_count(dims, kind, dimer_only=False):
@@ -108,3 +110,60 @@ def test_mask_range_checked():
     table = CoverTable(LatticeShape((3,)), SectionKind.BOX)
     with pytest.raises(ValueError):
         table.count(8)
+
+
+def reference_place(rows, point_weights, edges):
+    """`place_pieces` mask by mask in Python: rows[mask] lists the batch values."""
+    pieces = [(1 << v, weight) for v, weight in enumerate(point_weights) if weight]
+    pieces += [((1 << v) | (1 << w), mult) for v, w, mult in edges]
+    for bits, factor in pieces:
+        for mask, row in enumerate(rows):
+            if mask & bits == bits:
+                source = rows[mask ^ bits]
+                for j, value in enumerate(source):
+                    row[j] += value if factor == 1 else factor * value
+
+
+def kernel_inputs(size, batch, rng):
+    """float64, int64 and past-2^63 object arrays of shape (size,) or (size, batch)."""
+    shape = (size,) if batch is None else (size, batch)
+    yield rng.random(shape)
+    yield rng.integers(0, 1000, shape)
+    yield rng.integers(0, 1000, shape).astype(object) * (1 << 64) + 1
+
+
+# n = 1, 2, 3, 5, 8, 8: batch widths up to 4 put runs of 1 to 8 elements,
+# odd ones included, on both sides of the column-by-column cutoff; arrays
+# this small stay whole unless the size floor is lifted
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (5,), (4, 2), (2, 2, 2)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+@pytest.mark.parametrize("kind", list(SectionKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("dimer_only", [False, True])
+def test_place_pieces_matches_a_per_mask_reference(monkeypatch, dims, kind, dimer_only):
+    monkeypatch.setattr(matchcount, "_COLUMN_MIN_SIZE", 0)
+    pieces = SectionPieces(LatticeShape(dims), kind, dimer_only)
+    rng = np.random.default_rng(sum(dims) * 8 + len(dims))
+    for batch in (None, 1, 2, 3, 4):
+        for z in kernel_inputs(pieces.full + 1, batch, rng):
+            rows = z.reshape(len(z), -1).tolist()
+            reference_place(rows, pieces.point_weights, pieces.adjacency.edges)
+            want = np.array(rows, dtype=z.dtype).reshape(z.shape)
+            place_pieces(z, pieces.point_weights, pieces.adjacency.edges)
+            if z.dtype == object:
+                assert (z == want).all()
+            else:
+                assert z.dtype == want.dtype
+                assert np.array_equal(z, want)
+
+
+def test_place_pieces_past_the_size_floor_matches_the_reference():
+    # 11 points: each point piece updates 1024 elements, enough to go by columns
+    pieces = SectionPieces(LatticeShape((11,)), SectionKind.TORUS)
+    assert (pieces.full + 1) // 2 >= matchcount._COLUMN_MIN_SIZE
+    rng = np.random.default_rng(13)
+    for batch in (None, 3):
+        z = next(kernel_inputs(pieces.full + 1, batch, rng))
+        rows = z.reshape(len(z), -1).tolist()
+        reference_place(rows, pieces.point_weights, pieces.adjacency.edges)
+        place_pieces(z, pieces.point_weights, pieces.adjacency.edges)
+        assert np.array_equal(z, np.array(rows).reshape(z.shape))

@@ -173,3 +173,49 @@ def test_validation_errors():
             power_method(np.ones((2, 2)), shift=shift, max_iter=5)
         with pytest.raises(ValueError):
             operator_power_method(PATH_GRAPH.__matmul__, 3, shift=shift, max_iter=5)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("step", [1, 3])
+def test_non_finite_product_raises(bad, step):
+    # one entry of the product turns non-finite at the given step
+    calls = []
+
+    def apply(x):
+        calls.append(None)
+        y = PATH_GRAPH @ x
+        if len(calls) == step:
+            y[1] = bad
+        return y
+
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        operator_power_method(apply, 3, tol=0.0, max_iter=10)
+    assert len(calls) == step
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_matrix_entry_raises(bad):
+    matrix = PATH_GRAPH.copy()
+    matrix[1, 1] = bad
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        power_method(matrix)
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        power_method(matrix, weights=np.ones(3))
+
+
+def test_unit_weights_match_the_operator_path_bitwise():
+    # the operator path skips the multiplications by unit weights; they
+    # are exact, so explicit ones give the same bits
+    shape = LatticeShape((3, 2))
+    table = CoverTable(shape, SectionKind.TORUS)
+    matrix = np.array([[table.entry(s, t) for t in range(table.full + 1)]
+                       for s in range(table.full + 1)], dtype=np.float64)
+    history_matrix, history_operator = [], []
+    want, want_vec = power_method(matrix, weights=np.ones(len(matrix)),
+                                  history=history_matrix)
+    got, got_vec = operator_power_method(matrix.__matmul__, len(matrix),
+                                         history=history_operator)
+    assert want.iterations > 1
+    assert got == want
+    assert np.array_equal(got_vec, want_vec)
+    assert history_operator == history_matrix
