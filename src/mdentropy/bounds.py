@@ -29,6 +29,9 @@ iterations (9291 on (5, 3)); the dense orbit quotient splits components
 and is |G| times smaller per step, which makes it about eight times
 faster than the sweep on (5, 3): 1.5 s against 11.3 s for a single
 bracket, quotient build included.
+Either path predicts its peak bytes and checks them against the memory
+budget before it allocates (`check_section`): the sweep fits 24 points,
+the quotient 17 to 18.
 
 Closed-form route: the permanental lower bound for r-regular bipartite
 graphs gives, per site, the concave function lambda_lower(d, p) below the
@@ -44,17 +47,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial, wraps
+from functools import partial, wraps
 from math import comb, factorial, prod
 from typing import NamedTuple
 
-from .lattice import CapacityError, LatticeShape
+from .lattice import LatticeShape, check_memory
 from .matchcount import CoverTable, SectionKind, SectionPieces
 from .spectral import SpectralBracket, operator_power_method, power_method
 from .symmetry import burnside_orbit_count, compute_orbits, generate_motion_group
 from .transfer import QuotientMatrix, build_quotient, sweep_apply
-
-DESK_SCALE_MAX_POINTS = 17
 
 
 @dataclass
@@ -77,42 +78,96 @@ def _canonical(dims) -> tuple[int, ...]:
 
 
 def _section_shape(dims: tuple[int, ...]) -> LatticeShape:
-    """Shape of a canonical section with a transfer operator at desk scale."""
+    """Shape of a canonical section that has a transfer operator."""
     if any(m == 0 for m in dims):
         raise ValueError("zero extents have no transfer matrix; handled as log 2 per point")
-    shape = LatticeShape(dims)
-    if shape.n > DESK_SCALE_MAX_POINTS:
-        raise CapacityError(
-            f"section {dims} has {shape.n} points; desk scale ends at "
-            f"{DESK_SCALE_MAX_POINTS}"
-        )
-    return shape
+    return LatticeShape(dims)
+
+
+def _quotient_bytes(n: int, m: int) -> int:
+    return 24 * m * m + 100 * m + (160 << n) + (1 << 22)  # see section_quotient
+
+
+def check_section(dims, quotient: bool = False):
+    """Raise CapacityError unless a section's bracket fits the memory budget.
+
+    `quotient` selects the orbit quotient path, which `transfer_log_radius`
+    takes for dimer-only sections, over the sweep.  Returns the section's
+    shape and, on the quotient path, its motion group.
+
+    The sweep holds five float64 vectors of 2^n: iterate, image, scratch,
+    the sweep's copy and the `mult * values` temporary of extent-2
+    sections, plus 256 KiB of numpy's strided-update buffers.  A quotient
+    is predicted from its Burnside orbit count m, as in `section_quotient`;
+    its 2^n terms alone (m = 0) are checked first, since they exceed the
+    budget past 22 points, so no group is generated for such a section.
+    The shape is checked before either, against the 64-point mask limit.
+    """
+    shape = _section_shape(_canonical(dims))
+    if not quotient:
+        check_memory((40 << shape.n) + (1 << 18), f"the sweep bracket of section {shape.dims}")
+        return shape, None
+    what = f"the orbit quotient of section {shape.dims}"
+    check_memory(_quotient_bytes(shape.n, 0), f"{what}, counting its 2^{shape.n} masks alone,")
+    group = generate_motion_group(shape)
+    check_memory(_quotient_bytes(shape.n, burnside_orbit_count(group, shape.n)), what)
+    return shape, group
+
+
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int | None
+    currsize: int
 
 
 def _cached_by_section(fn):
     """Cache `fn` on canonical dims, so every axis order of a section shares an entry.
 
     Transposing axes is a relabeling automorphism of the torus, so
-    spectrum and orbit structure agree.  The returned function keeps the
-    cache's `cache_info` and `cache_clear`.
+    spectrum and orbit structure agree.  The returned function has the
+    `cache_info` and `cache_clear` of an unbounded `lru_cache`, and
+    `cache_discard`, which drops the entry of one call's arguments and
+    leaves the statistics as they are.
     """
-    cached = lru_cache(maxsize=None)(fn)
+    entries = {}
+    stats = [0, 0]
+
+    def key(dims, args, kwargs):
+        return _canonical(dims), args, tuple(sorted(kwargs.items()))
 
     @wraps(fn)
     def lookup(dims, *args, **kwargs):
-        return cached(_canonical(dims), *args, **kwargs)
+        k = key(dims, args, kwargs)
+        if k in entries:
+            stats[0] += 1
+        else:
+            stats[1] += 1
+            entries[k] = fn(k[0], *args, **kwargs)
+        return entries[k]
 
-    lookup.cache_info = cached.cache_info
-    lookup.cache_clear = cached.cache_clear
+    def cache_clear():
+        entries.clear()
+        stats[:] = [0, 0]
+
+    lookup.cache_info = lambda: CacheInfo(stats[0], stats[1], None, len(entries))
+    lookup.cache_clear = cache_clear
+    lookup.cache_discard = lambda dims, *args, **kwargs: entries.pop(key(dims, args, kwargs), None)
     return lookup
 
 
 @_cached_by_section
 def section_quotient(dims: tuple[int, ...], dimer_only: bool = False) -> QuotientMatrix:
-    """Orbit-folded torus transfer matrix for a section, cached on its sorted dims."""
-    shape = _section_shape(dims)
+    """Orbit-folded torus transfer matrix for a section, cached on its sorted dims.
+
+    Before the table is built, `check_section` predicts the bracket's
+    bytes for m orbits: 24 B per quotient entry (int64, its float64 copy
+    and a component submatrix; dimer-only quotients measured 18-20), 100 B
+    per orbit, and 160 B per mask plus 4 MiB for the table, the orbit
+    index and the fold.
+    """
+    shape, group = check_section(dims, quotient=True)
     table = CoverTable(shape, SectionKind.TORUS, dimer_only)
-    group = generate_motion_group(shape)
     orbits = compute_orbits(group, shape.n)
     return build_quotient(table, orbits)
 
@@ -148,8 +203,12 @@ def transfer_log_radius(dims: tuple[int, ...], dimer_only: bool = False,
         qm = section_quotient(dims, dimer_only)
         bracket, _ = power_method(qm.to_dense(), weights=qm.weight_vector(),
                                   shift=shift, tol=tol, max_iter=max_iter)
+        # only the bracket is kept: a cached quotient would outlive the
+        # budget check that admitted it
+        section_quotient.cache_discard(dims, dimer_only)
     else:
-        pieces = SectionPieces(_section_shape(dims), SectionKind.TORUS)
+        shape, _ = check_section(dims)
+        pieces = SectionPieces(shape, SectionKind.TORUS)
         bracket, _ = operator_power_method(partial(sweep_apply, pieces), pieces.full + 1,
                                            shift=shift, tol=tol, max_iter=max_iter)
 

@@ -22,7 +22,7 @@ from math import prod
 
 from . import __version__
 from .bounds import (
-    DESK_SCALE_MAX_POINTS,
+    check_section,
     h2_bounds,
     h3_bounds,
     lambda1,
@@ -240,13 +240,10 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     started = time.perf_counter()
-    if args.max_size < 1:
-        raise UsageError(f"--max-size must be positive, got {args.max_size}")
-    if args.max_size > DESK_SCALE_MAX_POINTS:
-        raise CapacityError(
-            f"--max-size {args.max_size} exceeds the {DESK_SCALE_MAX_POINTS}-point desk scale")
     dimer_only = args.which in (2, 4)
     shapes = [s for s in TABLE_SHAPES[args.which] if prod(s) <= args.max_size]
+    for s in shapes:
+        check_section(s, quotient=dimer_only)
     results = [_beta_row(s, dimer_only, args.tol, args.shift, args.max_iters)
                for s in shapes]
     rows = [{c: row[c] for c in TABLE_COLUMNS} for row in results]
@@ -335,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="batch section runs")
     p_table.add_argument("--which", type=int, required=True, choices=(1, 2, 3, 4))
-    p_table.add_argument("--max-size", type=int, default=12, dest="max_size",
-                         help="largest section point count to run")
+    p_table.add_argument("--max-size", type=_count, default=12, dest="max_size",
+                         help="largest section point count to run (>= 1)")
     _add_spectral_flags(p_table)
     _add_format_flag(p_table)
     p_table.set_defaults(func=cmd_table)

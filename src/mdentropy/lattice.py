@@ -20,10 +20,21 @@ from dataclasses import dataclass
 from math import prod
 
 MAX_MASK_POINTS = 64
+MEMORY_BUDGET = 1 << 30
 
 
 class CapacityError(ValueError):
     """A requested computation exceeds the supported problem size."""
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise CapacityError if `what`, predicted to need `nbytes`, exceeds the budget.
+
+    Each layer that allocates state-sized memory calls it first, with its own prediction.
+    """
+    if nbytes > MEMORY_BUDGET:
+        raise CapacityError(f"{what} needs {nbytes >> 20:,} MiB; "
+                            f"the memory budget is {MEMORY_BUDGET >> 20:,} MiB")
 
 
 class AdjacencyMode(enum.Enum):

@@ -62,6 +62,7 @@ the torus kind.
 from __future__ import annotations
 
 import enum
+import sys
 from math import prod
 
 import numpy as np
@@ -69,13 +70,12 @@ import numpy as np
 from .lattice import (
     Adjacency,
     AdjacencyMode,
-    CapacityError,
     LatticeShape,
     build_adjacency,
+    check_memory,
     protrusion_slots,
 )
 
-MAX_TABLE_POINTS = 20
 _INT64_LIMIT = 1 << 63
 # pieces whose contiguous run (the last axis of the update) holds at most
 # _COLUMN_RUN elements are placed one column at a time, unless the update
@@ -165,13 +165,14 @@ class SectionPieces:
 
 
 class CoverTable(SectionPieces):
-    """Cover counts for all 2^n subsets of one section configuration."""
+    """Cover counts for all 2^n subsets of one section configuration.
+
+    Predicts (16 + 2 s) * 2^n bytes, s the size of an int as large as the
+    counts' bound: the fill and the list, 8 B per mask each, their ints, and
+    in object dtype a half-size `factor * values` temporary.
+    """
 
     def __init__(self, shape: LatticeShape, kind: SectionKind, dimer_only: bool = False):
-        if shape.n > MAX_TABLE_POINTS:
-            raise CapacityError(
-                f"{shape.n} points exceed the {MAX_TABLE_POINTS}-point table limit"
-            )
         super().__init__(shape, kind, dimer_only)
         self.counts = self._build()
 
@@ -180,6 +181,8 @@ class CoverTable(SectionPieces):
             weight + sum(mult for _, mult in nbrs)
             for weight, nbrs in zip(self.point_weights, self.adjacency.neighbor_lists())
         )
+        check_memory((16 + 2 * sys.getsizeof(bound)) << self.shape.n,
+                     f"a {self.shape.n}-point cover table")
         z = np.zeros(self.full + 1, dtype=exact_dtype(bound))
         z[0] = 1
         place_pieces(z, self.point_weights, self.adjacency.edges)

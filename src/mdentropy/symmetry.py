@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Adjacency, CapacityError, LatticeShape
-
-MAX_ORBIT_POINTS = 22
+from .lattice import Adjacency, LatticeShape, check_memory
 
 
 def identity_perm(n: int) -> tuple[int, ...]:
@@ -130,11 +128,13 @@ class OrbitSpace:
 
 
 def compute_orbits(group, n: int) -> OrbitSpace:
-    """Enumerate mask orbits; representatives are the smallest member masks."""
-    if n > MAX_ORBIT_POINTS:
-        raise CapacityError(
-            f"{n} points exceed the {MAX_ORBIT_POINTS}-point orbit enumeration limit"
-        )
+    """Enumerate mask orbits; representatives are the smallest member masks.
+
+    Predicts 9 * 2^n + 100 * m bytes for m orbits (Burnside's count): a
+    visited flag and an orbit index per mask, three ints per orbit.
+    """
+    check_memory((9 << n) + 100 * burnside_orbit_count(group, n),
+                 f"the mask orbits of {n} points")
     total = 1 << n
     visited = bytearray(total)
     orbit_of = [0] * total

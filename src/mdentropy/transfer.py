@@ -47,17 +47,20 @@ form stores.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .lattice import CapacityError
+from .lattice import CapacityError, check_memory
 from .matchcount import CoverTable, SectionPieces, exact_dtype, place_pieces
 from .symmetry import OrbitSpace
 
-MAX_FULL_MATRIX_POINTS = 14
+# full_trace_power's time, not its memory, grows some 5x per point: q = 1
+# unfolded took 1.0 s at (13,) and 5.0 s at (14,) on a two-core VM
+TRACE_TIME_MAX_POINTS = 14
 _FLOAT_EXACT_LIMIT = 1 << 53
 _BLOCK_ENTRIES = 1 << 20
 # pairs per block of `disjoint_pairs`; each pair takes some 30 bytes of
@@ -119,13 +122,21 @@ def build_quotient(table: CoverTable, orbits: OrbitSpace) -> QuotientMatrix:
     The orbits must come from a group of automorphisms of the table's
     matrix; the rigid motions of the section torus qualify for the torus
     kind, which is the kind spectral radii are computed from.
+
+    Predicts e * m^2 + 12 * 2^n + 64 * max(2^16, 2^n) bytes for m orbits:
+    entries of e = 8 B in int64, or 16 + s for Python ints of s bytes and
+    the int64 copy; count and orbit-index arrays; a `disjoint_pairs` block.
     """
     n = table.shape.n
     if orbits.n != n:
         raise ValueError("orbit space and cover table disagree on point count")
     # an entry is at most its row sum, and row 0's, the sum of all counts,
     # is the largest
-    dtype = exact_dtype(sum(table.counts))
+    total = sum(table.counts)
+    dtype = exact_dtype(total)
+    entry = 8 if dtype is np.int64 else 16 + sys.getsizeof(total)
+    check_memory(entry * orbits.size ** 2 + (12 << n) + 64 * max(_PAIR_BLOCK, 1 << n),
+                 f"a {orbits.size}-orbit quotient")
     counts = np.array(table.counts, dtype=dtype)
     orbit_of = np.array(orbits.orbit_of, dtype=np.int32)
     reps = np.array(orbits.reps, dtype=np.int32)
@@ -183,13 +194,11 @@ def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None
     computed and weighted by the orbit size; the diagonal of a power is
     constant on orbits because the group conjugates the matrix to itself.
     The basis vectors of the diagonal entries are swept together, in
-    blocks of at most 2^20 entries.
+    blocks of at most 2^20 entries; `TRACE_TIME_MAX_POINTS` bounds its time.
     """
     n = table.shape.n
-    if n > MAX_FULL_MATRIX_POINTS:
-        raise CapacityError(
-            f"{n} points exceed the {MAX_FULL_MATRIX_POINTS}-point full-matrix limit"
-        )
+    if n > TRACE_TIME_MAX_POINTS:
+        raise CapacityError(f"exact traces take too long past {TRACE_TIME_MAX_POINTS} points")
     if q < 0:
         raise ValueError("power must be nonnegative")
     if q == 0:
@@ -221,14 +230,19 @@ def quadratic_form_count(table: CoverTable, exponent: int) -> int:
     The boundary vector closes both ends of a stack of `exponent` layers
     with no dimer leaving through the stacking direction, so the result
     counts covers of the section extended by a tiled layer direction.
+
+    Predicts (64 + 4 s) * 2^n bytes, s the bytes of an int as large as
+    R^(exponent-1), R the sum of all counts, which bounds every entry: some
+    six object vectors of 2^n and up to four ints per mask alive in a
+    sweep.  s is found from bit lengths, 4 B per 30 bits over a 28 B int,
+    without computing the power.
     """
-    n = table.shape.n
-    if n > MAX_FULL_MATRIX_POINTS:
-        raise CapacityError(
-            f"{n} points exceed the {MAX_FULL_MATRIX_POINTS}-point full-matrix limit"
-        )
     if exponent < 2:
         raise ValueError("quadratic form needs at least two layers")
+    bits = (exponent - 1) * sum(table.counts).bit_length()
+    size = 28 + 4 * (bits // 30)
+    check_memory((64 + 4 * size) << table.shape.n,
+                 f"a {exponent}-layer form over {table.shape.n} points")
     x = table.empty_column()
     v = x
     for _ in range(exponent - 2):
@@ -237,12 +251,13 @@ def quadratic_form_count(table: CoverTable, exponent: int) -> int:
 
 
 def full_matrix_sparse(table: CoverTable) -> sparse.csr_matrix:
-    """Full transfer matrix as float64 CSR, for spectral cross-checks."""
+    """Full transfer matrix as float64 CSR, for spectral cross-checks.
+
+    Predicts 48 B per disjoint pair, 3^n of them: row, column and value in
+    blocks (16 B), concatenated (16 B) and in CSR (12 B).
+    """
     n = table.shape.n
-    if n > MAX_FULL_MATRIX_POINTS:
-        raise CapacityError(
-            f"{n} points exceed the {MAX_FULL_MATRIX_POINTS}-point full-matrix limit"
-        )
+    check_memory(48 * 3**n, f"the {n}-point sparse full matrix")
     # every count c(U) is the entry (complement of U, 0)
     if max(table.counts) >= _FLOAT_EXACT_LIMIT:
         raise CapacityError("entry exceeds exact float64 range")

@@ -1,12 +1,10 @@
 import math
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
 
 from mdentropy.bounds import (
-    DESK_SCALE_MAX_POINTS,
     dimer_lower,
     h2_bounds,
     h3_bounds,
@@ -19,10 +17,7 @@ from mdentropy.bounds import (
     section_quotient,
     transfer_log_radius,
 )
-from mdentropy.lattice import CapacityError, LatticeShape
-from mdentropy.matchcount import SectionKind, SectionPieces
-from mdentropy.spectral import operator_power_method
-from mdentropy.transfer import sweep_apply
+from mdentropy.lattice import CapacityError
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -85,14 +80,19 @@ def test_section_orbit_counts():
 
 
 def test_section_capacity_and_validation():
-    assert DESK_SCALE_MAX_POINTS == 17
-    for dims in [(18,), (6, 3)]:
-        with pytest.raises(CapacityError):
-            section_quotient(dims)
+    # past the memory budget: 2^25 states and more for the monomer-dimer
+    # sweep, 7685 and 184,854 orbits for the dimer-only quotients
+    for dims in [(26,), (6, 5), (5, 5)]:
         with pytest.raises(CapacityError):
             transfer_log_radius(dims)
+    for dims in [(6, 4), (18,)]:
         with pytest.raises(CapacityError):
-            section_orbit_count(dims)
+            section_quotient(dims, dimer_only=True)
+        with pytest.raises(CapacityError):
+            transfer_log_radius(dims, dimer_only=True)
+    # Burnside counts orbits without allocating 2^n of anything
+    assert section_orbit_count((18,)) == 7685
+    assert section_orbit_count((6, 4)) == 184854
     with pytest.raises(ValueError):
         section_quotient((0, 3))
     with pytest.raises(ValueError):
@@ -101,21 +101,39 @@ def test_section_capacity_and_validation():
         section_quotient((-2,))
 
 
-# past the desk limit, the bracket comes from the operator path directly
 @pytest.mark.parametrize("dims,log_radius,iterations", [
     ((5, 4), 15.7213144691531, 14),
     ((20,), 13.2559794566760, 18),
 ], ids=["5x4", "20"])
 def test_twenty_point_monomer_dimer_brackets(dims, log_radius, iterations):
-    with pytest.raises(CapacityError):
-        transfer_log_radius(dims)
-    pieces = SectionPieces(LatticeShape(dims), SectionKind.TORUS)
-    bracket, _ = operator_power_method(partial(sweep_apply, pieces), pieces.full + 1)
+    bracket = transfer_log_radius(dims)
     assert bracket.converged
     assert bracket.iterations == iterations
-    lower, upper = math.log(bracket.lower), math.log(bracket.upper)
-    assert lower <= log_radius <= upper
-    assert upper - lower <= 1e-12
+    assert bracket.lower <= log_radius <= bracket.upper
+    assert bracket.upper - bracket.lower <= 1e-12
+
+
+def test_eighteen_point_dimer_only_bracket():
+    # the first dimer-only row of the 2-D table past 17 points
+    assert section_orbit_count((6, 3)) == 4236
+    bracket = transfer_log_radius((6, 3), dimer_only=True)
+    assert bracket.converged
+    assert bracket.iterations == 42
+    assert abs(bracket.rayleigh - 7.9771620688) <= 1e-9
+    assert bracket.lower <= bracket.rayleigh <= bracket.upper
+
+
+def test_dimer_only_brackets_keep_no_quotient():
+    # a cached quotient would outlive the budget check that admitted it;
+    # a quotient asked for directly stays, and every lookup is counted
+    section_quotient.cache_clear()
+    transfer_log_radius.cache_clear()
+    section_quotient((3, 2), True)
+    transfer_log_radius((2, 4), dimer_only=True)
+    info = section_quotient.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 1)
+    section_quotient((3, 2), True)
+    assert section_quotient.cache_info().hits == 1
 
 
 def test_one_dim_radius_matches_golden_ratio_limit():
@@ -169,7 +187,7 @@ def test_bound_parameter_validation():
     with pytest.raises(ValueError):
         h3_bounds(1, 1, 1, -1, 1, 1, 1)
     with pytest.raises(CapacityError):
-        h2_bounds(9, 1, 1)
+        h2_bounds(13, 1, 1)
 
 
 def test_wider_sections_tighten_the_h2_upper_bound():

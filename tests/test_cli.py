@@ -74,10 +74,31 @@ def test_beta_zero_extent_degenerates(capsys):
 
 
 def test_beta_capacity_exit(capsys):
-    code, out, err = run_cli(capsys, "beta", "--dims", "6,4")
+    code, out, err = run_cli(capsys, "beta", "--dims", "6,5")
     assert code == EXIT_CAPACITY
     assert out == ""
     assert "capacity" in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("beta", "--dims", "1000000000"), "mask limit"),
+    (("beta", "--dims", "1000000000", "--dimer-only"), "mask limit"),
+    (("bounds", "--target", "h2", "--upper", "500000000", "--lower", "1,1"), "mask limit"),
+    (("bounds", "--target", "h2t", "--upper", "500000000", "--lower", "1,1"), "mask limit"),
+    (("beta", "--dims", "2,2,2,2,2,2", "--dimer-only"), "memory budget"),
+])
+def test_huge_sections_exit_before_any_work(capsys, monkeypatch, argv, reason):
+    # the shape meets the 64-point mask limit before bytes are predicted
+    # from 2^n, and a quotient's 2^n terms meet the budget before its
+    # motion group is generated (46,080 motions of 64 points for 2x2x2x2x2x2)
+    def no_group(shape):
+        raise AssertionError(f"motion group generated for {shape.dims}")
+
+    monkeypatch.setattr(mdentropy.bounds, "generate_motion_group", no_group)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    assert reason in err
 
 
 def test_beta_usage_errors(capsys):
@@ -142,7 +163,7 @@ def test_bounds_usage_and_capacity(capsys):
     assert run_cli(capsys, "bounds", "--target", "h2",
                    "--upper", "0", "--lower", "1,1")[0] == EXIT_USAGE
     assert run_cli(capsys, "bounds", "--target", "h2",
-                   "--upper", "9", "--lower", "1,1")[0] == EXIT_CAPACITY
+                   "--upper", "13", "--lower", "1,1")[0] == EXIT_CAPACITY
 
 
 def test_lambda_grid_and_peak(capsys):
@@ -220,11 +241,20 @@ def test_table_two_dimensional_sections(capsys):
     assert [row["dims"] for row in rows] == ["2x2", "3x2"]
 
 
-def test_table_size_limits(capsys):
-    assert run_cli(capsys, "table", "--which", "1", "--max-size", "18")[0] == \
-        EXIT_CAPACITY
-    assert run_cli(capsys, "table", "--which", "1", "--max-size", "0")[0] == \
-        EXIT_USAGE
+def test_table_size_limits(capsys, monkeypatch):
+    # no 1-D monomer-dimer row has more than 17 points
+    assert run_cli(capsys, "table", "--which", "1", "--max-size", "24") == \
+        run_cli(capsys, "table", "--which", "1", "--max-size", "17")
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row ran before every row was checked")
+
+    # the dimer-only (6, 4) row, 184,854 orbits, fails before any row runs
+    monkeypatch.setattr(cli, "transfer_log_radius", no_rows)
+    code, out, err = run_cli(capsys, "table", "--which", "4", "--max-size", "24")
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    assert "capacity" in err
 
 
 @pytest.mark.parametrize("dimer_which, md_which, max_size", [(2, 1, 10), (4, 3, 12)])
@@ -256,6 +286,7 @@ def test_table_dimer_only_sections(capsys, dimer_which, md_which, max_size):
     ("beta", "--dims", "4", "--max-iters", "0"),
     ("table", "--which", "2", "--max-size", "6", "--max-iters", "-3"),
     ("verify", "--max-points", "0"),
+    ("table", "--which", "1", "--max-size", "0"),
 ])
 def test_out_of_range_flags_are_argparse_errors(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:

@@ -102,8 +102,9 @@ def test_empty_column_matches_entries():
 
 
 def test_capacity_limit():
+    # 2^25 masks of ints are past the memory budget
     with pytest.raises(CapacityError):
-        CoverTable(LatticeShape((21,)), SectionKind.BOX)
+        CoverTable(LatticeShape((25,)), SectionKind.BOX)
 
 
 def test_mask_range_checked():

@@ -13,7 +13,7 @@ from mdentropy.symmetry import (
     reflection_perm,
 )
 from mdentropy.transfer import (
-    MAX_FULL_MATRIX_POINTS,
+    TRACE_TIME_MAX_POINTS,
     QuotientMatrix,
     build_quotient,
     disjoint_pairs,
@@ -365,11 +365,13 @@ def test_validation_errors():
 
 
 def test_full_matrix_capacity_limits():
-    assert MAX_FULL_MATRIX_POINTS == 14
-    table = torus_table((15,))
+    # the exact trace is limited by its time, the other two by the budget
+    assert TRACE_TIME_MAX_POINTS == 14
     with pytest.raises(CapacityError):
-        full_trace_power(table, 1)
-    with pytest.raises(CapacityError):
-        quadratic_form_count(table, 2)
+        full_trace_power(torus_table((15,)), 1)
+    table = torus_table((16,))
     with pytest.raises(CapacityError):
         full_matrix_sparse(table)
+    # entries of M^k x grow with k, and with them the integers a sweep holds
+    with pytest.raises(CapacityError):
+        quadratic_form_count(table, 10_000)
