@@ -164,7 +164,7 @@ def section_quotient(dims: tuple[int, ...], dimer_only: bool = False) -> Quotien
     bytes for m orbits: 24 B per quotient entry (int64, its float64 copy
     and a component submatrix; dimer-only quotients measured 18-20), 100 B
     per orbit, and 160 B per mask plus 4 MiB for the table, the orbit
-    index and the fold.
+    labelling (int32) and the fold.
     """
     shape, group = check_section(dims, quotient=True)
     table = CoverTable(shape, SectionKind.TORUS, dimer_only)

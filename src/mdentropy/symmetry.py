@@ -8,14 +8,16 @@ preserves the torus adjacency (including edge multiplicities), so folding
 the torus transfer matrix over the induced action on subset masks keeps
 its spectral radius.
 
-Orbits of the action on masks are enumerated by walking masks in
-increasing value: the first unvisited mask seeds a new orbit and is its
-canonical representative, so representatives are always orbit minima.
+Orbits of the action on masks are labelled by their minimum: every mask
+is mapped to the smallest of its images under the group, in one numpy
+array, and the masks that are their own minimum are the representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .lattice import Adjacency, LatticeShape, check_memory
 
@@ -120,7 +122,7 @@ class OrbitSpace:
     group_order: int
     reps: list[int]       # canonical (minimal) mask per orbit, increasing
     sizes: list[int]      # orbit cardinalities, the quotient weights
-    orbit_of: list[int]   # mask -> orbit index, length 2^n
+    orbit_of: np.ndarray  # int32, mask -> orbit index, length 2^n
 
     @property
     def size(self) -> int:
@@ -128,31 +130,28 @@ class OrbitSpace:
 
 
 def compute_orbits(group, n: int) -> OrbitSpace:
-    """Enumerate mask orbits; representatives are the smallest member masks.
+    """Label each mask with its orbit minimum, the orbit's representative.
 
-    Predicts 9 * 2^n + 100 * m bytes for m orbits (Burnside's count): a
-    visited flag and an orbit index per mask, three ints per orbit.
+    The images of all masks under each g (masks holding point i are those
+    below 2^i with g(i) added) fold into an elementwise minimum.  Predicts
+    40 * 2^n + 100 * m + 8 KiB for m orbits (Burnside's count): int32 arrays
+    of 2^n (the budget keeps n < 31, so int32 holds a mask), two ints per orbit.
     """
-    check_memory((9 << n) + 100 * burnside_orbit_count(group, n),
+    if any(sorted(g) != list(range(n)) for g in group):
+        raise ValueError(f"every group element must be a permutation of range({n})")
+    check_memory((40 << n) + 100 * burnside_orbit_count(group, n) + (8 << 10),
                  f"the mask orbits of {n} points")
-    total = 1 << n
-    visited = bytearray(total)
-    orbit_of = [0] * total
-    reps: list[int] = []
-    sizes: list[int] = []
-    for seed in range(total):
-        if visited[seed]:
-            continue
-        members = {apply_to_mask(g, seed) for g in group}
-        index = len(reps)
-        for m in members:
-            visited[m] = 1
-            orbit_of[m] = index
-        reps.append(seed)
-        sizes.append(len(members))
-    return OrbitSpace(
-        n=n, group_order=len(group), reps=reps, sizes=sizes, orbit_of=orbit_of
-    )
+    masks = np.arange(1 << n, dtype=np.int32)
+    minimum = masks.copy()
+    image = np.zeros(1 << n, dtype=np.int32)
+    for g in group:
+        for i, gi in enumerate(g):
+            np.bitwise_or(image[:1 << i], 1 << gi, out=image[1 << i:2 << i])
+        np.minimum(minimum, image, out=minimum)
+    is_rep = minimum == masks
+    orbit_of = (np.cumsum(is_rep, dtype=np.int32) - 1)[minimum]
+    return OrbitSpace(n=n, group_order=len(group), reps=np.flatnonzero(is_rep).tolist(),
+                      sizes=np.bincount(orbit_of).tolist(), orbit_of=orbit_of)
 
 
 def burnside_orbit_count(group, n: int) -> int:

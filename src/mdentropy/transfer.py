@@ -123,9 +123,9 @@ def build_quotient(table: CoverTable, orbits: OrbitSpace) -> QuotientMatrix:
     matrix; the rigid motions of the section torus qualify for the torus
     kind, which is the kind spectral radii are computed from.
 
-    Predicts e * m^2 + 12 * 2^n + 64 * max(2^16, 2^n) bytes for m orbits:
+    Predicts e * m^2 + 8 * 2^n + 64 * max(2^16, 2^n) bytes for m orbits:
     entries of e = 8 B in int64, or 16 + s for Python ints of s bytes and
-    the int64 copy; count and orbit-index arrays; a `disjoint_pairs` block.
+    the int64 copy; the count array; a `disjoint_pairs` block.
     """
     n = table.shape.n
     if orbits.n != n:
@@ -135,15 +135,14 @@ def build_quotient(table: CoverTable, orbits: OrbitSpace) -> QuotientMatrix:
     total = sum(table.counts)
     dtype = exact_dtype(total)
     entry = 8 if dtype is np.int64 else 16 + sys.getsizeof(total)
-    check_memory(entry * orbits.size ** 2 + (12 << n) + 64 * max(_PAIR_BLOCK, 1 << n),
+    check_memory(entry * orbits.size ** 2 + (8 << n) + 64 * max(_PAIR_BLOCK, 1 << n),
                  f"a {orbits.size}-orbit quotient")
     counts = np.array(table.counts, dtype=dtype)
-    orbit_of = np.array(orbits.orbit_of, dtype=np.int32)
     reps = np.array(orbits.reps, dtype=np.int32)
     size = orbits.size
     entries = np.zeros((size, size), dtype=dtype)
     for index, t in disjoint_pairs(reps, n):
-        np.add.at(entries.reshape(-1), index.astype(np.intp) * size + orbit_of[t],
+        np.add.at(entries.reshape(-1), index.astype(np.intp) * size + orbits.orbit_of[t],
                   counts[table.full ^ (reps[index] | t)])
     if entries.max() >= _FLOAT_EXACT_LIMIT:
         raise CapacityError("quotient entry exceeds exact float64 range")
@@ -201,6 +200,8 @@ def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None
         raise CapacityError(f"exact traces take too long past {TRACE_TIME_MAX_POINTS} points")
     if q < 0:
         raise ValueError("power must be nonnegative")
+    if orbits is not None and orbits.n != n:
+        raise ValueError("orbit space and cover table disagree on point count")
     if q == 0:
         return 1 << n
     if orbits is not None:

@@ -100,6 +100,8 @@ REJECTED = {
     "table-5x5": lambda inputs: (table, (5, 5)),
     "full_matrix_sparse-16": lambda inputs: (transfer.full_matrix_sparse, table((16,))),
     "identity-quotient-17": lambda inputs: (transfer.build_quotient, *inputs),
+    # one orbit per mask, so Burnside's term alone is 100 * 2^25 bytes
+    "identity-orbits-25": lambda inputs: (compute_orbits, (identity_perm(25),), 25),
     # the entries' size is predicted from bit lengths, not by computing R^999999
     "form-12-million-layers": lambda inputs: (transfer.quadratic_form_count, table((12,)),
                                               1_000_000),

@@ -1,5 +1,7 @@
 import random
+from functools import partial
 
+import numpy as np
 import pytest
 
 from mdentropy.lattice import AdjacencyMode, LatticeShape, build_adjacency
@@ -153,3 +155,55 @@ def test_known_one_dim_orbit_counts():
         shape = LatticeShape((m,))
         orbits = compute_orbits(generate_motion_group(shape), shape.n)
         assert orbits.size == count
+
+
+def walked_orbits(group, n):
+    """Reference orbits: walk masks upward, each unseen mask seeds its image set."""
+    orbit_of = [None] * (1 << n)
+    reps, sizes = [], []
+    for seed in range(1 << n):
+        if orbit_of[seed] is None:
+            members = {apply_to_mask(g, seed) for g in group}
+            for mask in members:
+                orbit_of[mask] = len(reps)
+            reps.append(seed)
+            sizes.append(len(members))
+    return reps, sizes, orbit_of
+
+
+def motion_orbit_case(dims):
+    shape = LatticeShape(dims)
+    return generate_motion_group(shape), shape.n
+
+
+def protruding_reflections_case():
+    # the two-element group folded in test_transfer's 20-axis protruding case
+    shape = LatticeShape((12,) + (1,) * 19)
+    return (identity_perm(shape.n), reflection_perm(shape, 0)), shape.n
+
+
+ORBIT_CASES = {
+    **{str(dims): partial(motion_orbit_case, dims)
+       for dims in [(1,), (2,), (5,), (3, 2), (2, 2, 2), (3, 3), (4, 4)]},
+    "identity-7": lambda: ((identity_perm(7),), 7),
+    "protruding-reflections": protruding_reflections_case,
+}
+
+
+@pytest.mark.parametrize("case", list(ORBIT_CASES))
+def test_orbits_match_the_mask_walk(case):
+    group, n = ORBIT_CASES[case]()
+    orbits = compute_orbits(group, n)
+    reps, sizes, orbit_of = walked_orbits(group, n)
+    assert (orbits.n, orbits.group_order) == (n, len(group))
+    assert orbits.reps == reps and all(type(rep) is int for rep in orbits.reps)
+    assert orbits.sizes == sizes and all(type(size) is int for size in orbits.sizes)
+    assert orbits.orbit_of.dtype == np.int32
+    assert orbits.orbit_of.tolist() == orbit_of
+
+
+@pytest.mark.parametrize("group", [((0, 1, 2),), ((0, 1, 2, 3), (0, 1, 1, 3))],
+                         ids=["short-perm", "repeated-point"])
+def test_orbits_reject_non_permutations(group):
+    with pytest.raises(ValueError, match="permutation"):
+        compute_orbits(group, 4)

@@ -364,6 +364,15 @@ def test_validation_errors():
         build_quotient(table, orbits)
 
 
+def test_trace_rejects_orbits_of_another_point_count():
+    # the (9,) orbits used to fold a (10,) trace silently: 727598, not 891097, at q = 2
+    table = torus_table((10,))
+    orbits = compute_orbits(generate_motion_group(LatticeShape((9,))), 9)
+    with pytest.raises(ValueError, match="point count"):
+        full_trace_power(table, 2, orbits)
+    assert full_trace_power(table, 2) == 891097
+
+
 def test_full_matrix_capacity_limits():
     # the exact trace is limited by its time, the other two by the budget
     assert TRACE_TIME_MAX_POINTS == 14
