@@ -97,10 +97,14 @@ def check_section(dims, quotient: bool = False):
 
     The sweep holds five float64 vectors of 2^n: iterate, image, scratch,
     the sweep's copy and the `mult * values` temporary of extent-2
-    sections, plus 256 KiB of numpy's strided-update buffers.  A quotient
-    is predicted from its Burnside orbit count m, as in `section_quotient`;
-    its 2^n terms alone (m = 0) are checked first, since they exceed the
-    budget past 22 points, so no group is generated for such a section.
+    sections, plus 256 KiB for numpy's ufunc buffers.  Under the buffer
+    size that `place_pieces` sets, a float64 sweep of (10,) to (17,), (4, 4)
+    or (5, 3) traced 14-15 KiB above its copy, with or without a batch of 3
+    (194 KiB at numpy's default size); the iteration's operations are
+    contiguous and use no buffer.  A quotient is predicted from its
+    Burnside orbit count m, as in `section_quotient`; its 2^n terms alone
+    (m = 0) are checked first, since they exceed the budget past 22
+    points, so no group is generated for such a section.
     The shape is checked before either, against the 64-point mask limit.
     """
     shape = _section_shape(_canonical(dims))

@@ -21,23 +21,43 @@ batch axis, z of shape (2^n, B), runs B such sums at once; the transfer
 sweep of `transfer.sweep_apply` is this kernel followed by a reversal.
 
 Each update works on a strided view whose last axis is a contiguous run
-of B << v elements, and numpy's buffered ufunc loop pays per row of that
-view.  One float64 update at n = 17 takes about 0.07 ms at bit 0 (a run
-of 1 is already a single strided column), 0.6-0.9 ms at bit 1 (a run of
-2), 0.1-0.5 ms at bits 2-11 and 0.03 ms at bits 12 and up.  So a run of
-at most `_COLUMN_RUN` = 4 elements is updated one column at a time, each
-column one long 1-D strided add: bit 1 then takes 0.07 ms and bit 2 0.13
-ms instead of 0.47.  The cutoff is measured: a run of 4 by columns also
-wins at 20 points (1.7 against 3.5 ms) and ties at 22 (12 against 13 ms)
-and 24 (55 against 53-71 ms), while a run of 8 by columns loses from 20
-points on (3.3 against 2.0 ms at 20, 101 against 52 ms at 24), because
-every column pass streams the whole array.  The columns see the same
-additions in the same piece order, so the results are bit-identical in
-every dtype, with or without a batch axis.  An update of fewer than
-`_COLUMN_MIN_SIZE` = 1024 elements stays whole: there the per-column call
-costs more than the rows it saves (a 6-point float64 sweep took 79 us by
-columns against 58 us whole), and from about 11 points up the columns
-win.
+of B << v elements.  numpy's ufunc loop copies a strided operand through
+its buffer when the run is shorter than about half the buffer size, 8192
+elements by default, so at n = 17 a float64 update at bits 3-11 (runs of
+8 to 2048) took 0.09-0.28 ms against 0.03 ms at bits 12 and up.  The
+piece loop therefore runs with the buffer size set to `_UPDATE_BUFSIZE`
+= 512 elements: runs of 256 and more become one strided add each, and
+shorter runs are buffered in smaller blocks.  Per update at n = 17,
+default -> 512: bit 4 0.20 -> 0.16 ms, bit 6 0.17 -> 0.11, bit 8 0.12 ->
+0.08, bits 10-11 0.09-0.10 -> 0.03-0.04.  A whole float64 sweep (median
+of five best-of-7 rounds, best of 3 at 22 points) fell from 3.3 to 2.3 ms
+at (17,), 2.5 to 2.0 at (4, 4), 32 to 30 at (20,) and 238 to 201 at
+(22,); at 24 points, where every update streams the whole array, it
+stays at about 1.4 s.  Sizes 128, 256, 1024 and 2048 were each slower
+than 512 at 17 points.  The scope is safe: the buffer size belongs to
+numpy's error state context, which `np.errstate` restores on exit or
+exception (numpy 2.0 and later) and which is per thread or task, so
+callers keep their own buffer size and error state.  Inside it run only
+elementwise adds and multiplies, in the same piece order, whose result
+per element does not depend on how numpy blocks the loop, so every dtype
+gives the same bits; no reduction runs there.
+
+A run of at most `_COLUMN_RUN` = 4 elements is updated one column at a
+time, each column one long 1-D strided add: at n = 17 bit 1 takes 0.09
+ms and bit 2 0.14 ms instead of 0.6-0.9 and 0.47 whole, at either buffer
+size.  The cutoff is measured: at numpy's default buffer size a run of 4
+by columns also won at 20 points (1.7 against 3.5 ms) and tied at 22 (12
+against 13 ms) and 24 (55 against 53-71 ms).  Under the 512 buffer a run
+of 8 takes 0.20 ms by columns against 0.27 ms buffered at n = 17, and
+whole sweeps with the cutoff at 8 win at (13,), (17,) and (4, 4) but
+lose at (20,) (31-33 against 28-31 ms) and (22,) (245-271 against
+214-256 ms), because every column pass streams the whole array; so the
+cutoff stays at 4.  The columns see the same additions in the same piece
+order, so the results are bit-identical in every dtype, with or without
+a batch axis.  An update of fewer than `_COLUMN_MIN_SIZE` = 1024
+elements stays whole: there the per-column call costs more than the rows
+it saves (a 6-point float64 sweep took 79 us by columns against 58 us
+whole), and from about 11 points up the columns win.
 
 Counts are exact.  The table is accumulated in int64 only when the
 product over points of (weight + sum of edge multiplicities at the point)
@@ -82,6 +102,8 @@ _INT64_LIMIT = 1 << 63
 # covers fewer than _COLUMN_MIN_SIZE elements; see the module notes
 _COLUMN_RUN = 4
 _COLUMN_MIN_SIZE = 1 << 10
+# numpy's ufunc buffer size, in elements, while pieces are placed
+_UPDATE_BUFSIZE = 512
 
 
 class SectionKind(enum.Enum):
@@ -123,13 +145,17 @@ def place_pieces(z: np.ndarray, point_weights, edges) -> None:
     if not z.flags.c_contiguous:
         raise ValueError("pieces are placed through reshaped views of a C-contiguous array")
     b = z.size // z.shape[0]
-    for v, weight in enumerate(point_weights):
-        if weight:
-            axis = z.reshape(-1, 2, b << v)
-            _add_scaled(axis[:, 1], axis[:, 0], weight)
-    for v, w, mult in edges:
-        pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
-        _add_scaled(pair[:, 1, :, 1], pair[:, 0, :, 0], mult)
+    # the buffer size belongs to the errstate context, which restores the
+    # caller's on exit (numpy >= 2.0); see the module notes
+    with np.errstate():
+        np.setbufsize(_UPDATE_BUFSIZE)
+        for v, weight in enumerate(point_weights):
+            if weight:
+                axis = z.reshape(-1, 2, b << v)
+                _add_scaled(axis[:, 1], axis[:, 0], weight)
+        for v, w, mult in edges:
+            pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
+            _add_scaled(pair[:, 1, :, 1], pair[:, 0, :, 0], mult)
 
 
 def _add_scaled(target: np.ndarray, source: np.ndarray, factor: int) -> None:

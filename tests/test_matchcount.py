@@ -1,12 +1,14 @@
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from mdentropy import matchcount
+from mdentropy import bounds, matchcount
 from mdentropy.bounds import one_dim_counts
 from mdentropy.lattice import CapacityError, LatticeShape
 from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, place_pieces
+from mdentropy.transfer import sweep_apply
 
 
 def full_count(dims, kind, dimer_only=False):
@@ -157,14 +159,127 @@ def test_place_pieces_matches_a_per_mask_reference(monkeypatch, dims, kind, dime
                 assert np.array_equal(z, want)
 
 
-def test_place_pieces_past_the_size_floor_matches_the_reference():
-    # 11 points: each point piece updates 1024 elements, enough to go by columns
-    pieces = SectionPieces(LatticeShape((11,)), SectionKind.TORUS)
-    assert (pieces.full + 1) // 2 >= matchcount._COLUMN_MIN_SIZE
-    rng = np.random.default_rng(13)
+def assert_float_placement_matches_the_reference(pieces, seed):
+    rng = np.random.default_rng(seed)
     for batch in (None, 3):
         z = next(kernel_inputs(pieces.full + 1, batch, rng))
         rows = z.reshape(len(z), -1).tolist()
         reference_place(rows, pieces.point_weights, pieces.adjacency.edges)
         place_pieces(z, pieces.point_weights, pieces.adjacency.edges)
         assert np.array_equal(z, np.array(rows).reshape(z.shape))
+
+
+def test_place_pieces_past_the_size_floor_matches_the_reference():
+    # 11 points: each point piece updates 1024 elements, enough to go by columns
+    pieces = SectionPieces(LatticeShape((11,)), SectionKind.TORUS)
+    assert (pieces.full + 1) // 2 >= matchcount._COLUMN_MIN_SIZE
+    assert_float_placement_matches_the_reference(pieces, 13)
+
+
+# 13 points and 4 x 3: contiguous runs of 1 to 4096 elements (3 to 12288
+# with a batch of 3) fall on both sides of 256, half the scoped buffer
+# size, below which numpy copies a strided update through its buffer
+@pytest.mark.parametrize("dims", [(13,), (4, 3)], ids=lambda dims: "x".join(map(str, dims)))
+def test_place_pieces_across_the_buffer_threshold_matches_the_reference(dims):
+    pieces = SectionPieces(LatticeShape(dims), SectionKind.TORUS)
+    assert_float_placement_matches_the_reference(pieces, sum(dims))
+
+
+def unscoped_sweep(pieces, x):
+    """`sweep_apply` as it ran before `place_pieces` scoped numpy's buffer size."""
+    z = np.array(x, order="C")
+    b = z.size // z.shape[0]
+    for v, weight in enumerate(pieces.point_weights):
+        if weight:
+            axis = z.reshape(-1, 2, b << v)
+            unscoped_add_scaled(axis[:, 1], axis[:, 0], weight)
+    for v, w, mult in pieces.adjacency.edges:
+        pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
+        unscoped_add_scaled(pair[:, 1, :, 1], pair[:, 0, :, 0], mult)
+    return z[::-1]
+
+
+def unscoped_add_scaled(target, source, factor):
+    run = target.shape[-1]
+    if run <= 4 and target.size >= 1 << 10:
+        pairs = [(target[..., j], source[..., j]) for j in range(run)]
+    else:
+        pairs = [(target, source)]
+    for column, values in pairs:
+        column += values if factor == 1 else factor * values
+
+
+@pytest.mark.parametrize("dims", [(13,), (4, 3)], ids=lambda dims: "x".join(map(str, dims)))
+def test_sweep_matches_the_unscoped_kernel_under_the_default_buffer(dims):
+    pieces = SectionPieces(LatticeShape(dims), SectionKind.TORUS)
+    rng = np.random.default_rng(sum(dims) + 1)
+    for shape in ((pieces.full + 1,), (pieces.full + 1, 3)):
+        x = rng.random(shape)
+        with np.errstate():
+            np.setbufsize(8192)
+            want = unscoped_sweep(pieces, x)
+        assert np.array_equal(sweep_apply(pieces, x), want)
+
+
+def numpy_state():
+    return np.getbufsize(), np.geterr()
+
+
+@contextmanager
+def caller_state(bufsize):
+    """numpy's defaults, or a caller's own buffer size and error state."""
+    if bufsize is None:
+        # numpy's default buffer size; an earlier call that leaked its own shows here
+        assert np.getbufsize() == 8192
+        yield
+        return
+    with np.errstate(divide="ignore"):
+        np.setbufsize(bufsize)
+        yield
+
+
+def place_on_ones():
+    place_pieces(np.ones((1 << 12, 3)), (1,) * 12, ((0, 1, 1), (3, 9, 2)))
+
+
+def cold_log_radius():
+    bounds.transfer_log_radius.cache_clear()
+    bounds.transfer_log_radius((13,))
+
+
+STATE_CALLS = {
+    "place_pieces": place_on_ones,
+    "sweep_apply": lambda: sweep_apply(SectionPieces(LatticeShape((4, 3)), SectionKind.TORUS),
+                                       np.ones(1 << 12)),
+    "CoverTable": lambda: CoverTable(LatticeShape((12,)), SectionKind.PROTRUDING),
+    "transfer_log_radius": cold_log_radius,
+}
+
+
+@pytest.mark.parametrize("bufsize", [None, 4096], ids=["default", "caller-4096"])
+@pytest.mark.parametrize("call", list(STATE_CALLS))
+def test_placing_pieces_leaves_the_callers_numpy_state(call, bufsize):
+    with caller_state(bufsize):
+        before = numpy_state()
+        STATE_CALLS[call]()
+        assert numpy_state() == before
+
+
+@pytest.mark.parametrize("bufsize", [None, 4096], ids=["default", "caller-4096"])
+@pytest.mark.parametrize("call", list(STATE_CALLS))
+def test_a_kernel_raising_partway_leaves_the_callers_numpy_state(monkeypatch, call, bufsize):
+    seen = []
+
+    def add_scaled(target, source, factor):
+        seen.append(np.getbufsize())
+        if len(seen) == 3:
+            raise RuntimeError("third update")
+
+    monkeypatch.setattr(matchcount, "_add_scaled", add_scaled)
+    with caller_state(bufsize):
+        before = numpy_state()
+        with pytest.raises(RuntimeError, match="third update"):
+            STATE_CALLS[call]()
+        assert numpy_state() == before
+    # the updates ran under the scoped buffer size
+    assert seen == [matchcount._UPDATE_BUFSIZE] * 3
