@@ -31,7 +31,9 @@ faster than the sweep on (5, 3): 1.5 s against 11.3 s for a single
 bracket, quotient build included.
 Either path predicts its peak bytes and checks them against the memory
 budget before it allocates (`check_section`): the sweep fits 24 points,
-the quotient 17 to 18.
+the quotient 17 to 18.  `h2_bounds` and `h3_bounds` check every section
+their formulas name before the first bracket, so a bound with one
+section past capacity fails at once rather than after the others.
 
 Closed-form route: the permanental lower bound for r-regular bipartite
 graphs gives, per site, the concave function lambda_lower(d, p) below the
@@ -229,6 +231,22 @@ def transfer_log_radius(dims: tuple[int, ...], dimer_only: bool = False,
     )
 
 
+def _section_brackets(sections, dimer_only: bool, tol: float) -> list[SpectralBracket]:
+    """Log-radius brackets of the sections a bound names, in order.
+
+    Every section is checked against capacity before the first bracket
+    runs, so a bound with one section too large fails at once; sections
+    with a zero extent are exact log 2 terms and need no check.  The
+    formulas name some sections in both axis orders, e.g. (4, 2) and
+    (2, 4); passing canonical dims makes them one lookup key for anything
+    that watches the calls, as they are one cache entry.
+    """
+    for dims in sections:
+        if all(dims):
+            check_section(dims, quotient=dimer_only)
+    return [transfer_log_radius(_canonical(dims), dimer_only, tol) for dims in sections]
+
+
 def _target(d: int, dimer_only: bool) -> str:
     return f"h{d}_dimer" if dimer_only else f"h{d}"
 
@@ -238,7 +256,7 @@ def h2_bounds(r: int, p: int, q: int, dimer_only: bool = False,
     """Upper and lower bounds on h2 from section growth rates."""
     if r < 1 or p < 1 or q < 0:
         raise ValueError("need r >= 1, p >= 1, q >= 0")
-    wide = transfer_log_radius((2 * r,), dimer_only, tol)
+    wide, top, base = _section_brackets([(2 * r,), (p + 2 * q,), (2 * q,)], dimer_only, tol)
     upper = EntropyBound(
         target=_target(2, dimer_only), direction="upper",
         value=wide.upper / (2 * r),
@@ -246,8 +264,6 @@ def h2_bounds(r: int, p: int, q: int, dimer_only: bool = False,
         params={"r": r, "dims": [2 * r]},
         converged=wide.converged,
     )
-    top = transfer_log_radius((p + 2 * q,), dimer_only, tol)
-    base = transfer_log_radius((2 * q,), dimer_only, tol)
     lower = EntropyBound(
         target=_target(2, dimer_only), direction="lower",
         value=(top.lower - base.upper) / p,
@@ -264,14 +280,9 @@ def h3_bounds(r: int, t: int, p: int, q: int, u: int, s: int, v: int,
     """Upper and lower bounds on h3 from 2-D section growth rates."""
     if min(r, t, p, u, v) < 1 or q < 0 or s < 0:
         raise ValueError("need r, t, p, u, v >= 1 and q, s >= 0")
-
-    def radius(*dims):
-        # the formulas name some sections in both axis orders, e.g. (4, 2)
-        # and (2, 4); passing canonical dims makes them one lookup key for
-        # anything that watches the calls, as they are one cache entry
-        return transfer_log_radius(_canonical(dims), dimer_only, tol)
-
-    wide = radius(2 * r, 2 * t)
+    wide, top, base, tail = _section_brackets(
+        [(2 * r, 2 * t), (p + 2 * q, u + 2 * s), (p + 2 * q, 2 * s), (2 * q, 2 * v)],
+        dimer_only, tol)
     upper = EntropyBound(
         target=_target(3, dimer_only), direction="upper",
         value=wide.upper / (4 * r * t),
@@ -279,9 +290,6 @@ def h3_bounds(r: int, t: int, p: int, q: int, u: int, s: int, v: int,
         params={"r": r, "t": t, "dims": [2 * r, 2 * t]},
         converged=wide.converged,
     )
-    top = radius(p + 2 * q, u + 2 * s)
-    base = radius(p + 2 * q, 2 * s)
-    tail = radius(2 * q, 2 * v)
     lower = EntropyBound(
         target=_target(3, dimer_only), direction="lower",
         value=(top.lower - base.upper) / (u * p) - tail.upper / (2 * v * p),

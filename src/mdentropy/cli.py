@@ -327,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the enumeration cross-check suite")
     p_verify.add_argument("--max-points", type=_count, default=20, dest="max_points",
-                          help="largest region point count to cross-check (>= 1)")
+                          help="largest region point count of the identity, 1-D and chain"
+                               " checks (>= 1); the oracle-path, census and transpose"
+                               " checks run at any value")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="batch section runs")

@@ -18,7 +18,9 @@ lower ratio to the weakest component forever.
 the components.  `operator_power_method` runs the same iteration on an
 operator given only by its product, such as the site sweep of the full
 transfer matrix; it iterates a single vector, which is sound only for an
-irreducible operator.
+irreducible operator.  scipy, which finds the components, is imported
+inside `power_method`: the operator path never needs it, and loading it
+would about double the start-up time of every command.
 
 A step allocates nothing of the operator's size itself: it works through
 numpy `out=` arguments in three preallocated vectors, the iterate x, its
@@ -44,8 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 
 @dataclass
@@ -136,6 +136,9 @@ def power_method(matrix, weights=None, shift: float = 1.0, tol: float = 1e-12,
     product weights (ones when omitted).  `tol` is relative bracket width.
     Returns (SpectralBracket, eigenvector estimate).
     """
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     dense = not sparse.issparse(matrix)
     mat = np.asarray(matrix, dtype=np.float64) if dense else matrix.tocsr()
     m = mat.shape[0]

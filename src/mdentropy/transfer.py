@@ -42,7 +42,8 @@ quotient adds counts into (representative, orbit of T) in int64 when the
 sum of all counts, which bounds every row sum, is below 2^63, and in
 Python integers otherwise; either way its entries must stay below 2^53,
 since they are iterated in float64, and so must every count the sparse
-form stores.
+form stores.  `full_matrix_sparse` is the module's only use of scipy and
+imports it when called, so the sweep and the quotient load without it.
 """
 
 from __future__ import annotations
@@ -50,13 +51,16 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .lattice import CapacityError, check_memory
 from .matchcount import CoverTable, SectionPieces, exact_dtype, place_pieces
 from .symmetry import OrbitSpace
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # full_trace_power's time, not its memory, grows some 5x per point: q = 1
 # unfolded took 1.0 s at (13,) and 5.0 s at (14,) on a two-core VM
@@ -257,6 +261,8 @@ def full_matrix_sparse(table: CoverTable) -> sparse.csr_matrix:
     Predicts 48 B per disjoint pair, 3^n of them: row, column and value in
     blocks (16 B), concatenated (16 B) and in CSR (12 B).
     """
+    from scipy import sparse
+
     n = table.shape.n
     check_memory(48 * 3**n, f"the {n}-point sparse full matrix")
     # every count c(U) is the entry (complement of U, 0)

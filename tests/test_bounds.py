@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mdentropy.bounds as bounds
 from mdentropy.bounds import (
     dimer_lower,
     h2_bounds,
@@ -188,6 +189,32 @@ def test_bound_parameter_validation():
         h3_bounds(1, 1, 1, -1, 1, 1, 1)
     with pytest.raises(CapacityError):
         h2_bounds(13, 1, 1)
+
+
+@pytest.mark.parametrize("bound, args, kwargs", [
+    # (22,) fits, (27,) does not
+    (h2_bounds, (11, 1, 13), {}),
+    # the 24-point (6, 4) and (4, 4) come before (2, 14)
+    (h3_bounds, (3, 2, 2, 1, 2, 2, 7), {}),
+    # the dimer-only (14,) quotient fits, (21,) does not
+    (h2_bounds, (7, 1, 10), {"dimer_only": True}),
+], ids=["h2", "h3", "h2-dimer-only"])
+def test_bounds_check_every_section_before_the_first_bracket(monkeypatch, bound, args, kwargs):
+    def no_bracket(*a, **k):
+        raise AssertionError("a bracket ran before every section was checked")
+
+    monkeypatch.setattr(bounds, "operator_power_method", no_bracket)
+    monkeypatch.setattr(bounds, "power_method", no_bracket)
+    transfer_log_radius.cache_clear()
+    with pytest.raises(CapacityError, match="memory budget"):
+        bound(*args, **kwargs)
+
+
+def test_zero_extent_sections_pass_the_bound_checks():
+    # (0,) and (3, 0) are exact log 2 terms, which check_section rejects
+    assert h2_bounds(1, 1, 0)[1].value == transfer_log_radius((1,)).lower - math.log(2.0)
+    upper, lower = h3_bounds(1, 1, 1, 1, 1, 0, 1)
+    assert lower.value <= upper.value
 
 
 def test_wider_sections_tighten_the_h2_upper_bound():

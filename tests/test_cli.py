@@ -166,6 +166,26 @@ def test_bounds_usage_and_capacity(capsys):
                    "--upper", "13", "--lower", "1,1")[0] == EXIT_CAPACITY
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--target", "h2", "--upper", "11", "--lower", "1,13"),
+    ("bounds", "--target", "h3", "--upper", "3,2", "--lower", "2,1,2,2,7"),
+    ("bounds", "--target", "h2t", "--upper", "7", "--lower", "1,10"),
+], ids=["h2", "h3", "h2t"])
+def test_bounds_refuse_before_any_bracket(capsys, monkeypatch, argv):
+    # (27,), (2, 14) and the dimer-only (21,) are past capacity; the
+    # sections named before them must not be bracketed first
+    def no_bracket(*args, **kwargs):
+        raise AssertionError("a bracket ran before every section was checked")
+
+    monkeypatch.setattr(mdentropy.bounds, "operator_power_method", no_bracket)
+    monkeypatch.setattr(mdentropy.bounds, "power_method", no_bracket)
+    mdentropy.bounds.transfer_log_radius.cache_clear()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    assert "memory budget" in err
+
+
 def test_lambda_grid_and_peak(capsys):
     code, out, _ = run_cli(capsys, "lambda", "--d", "2", "--grid", "0.05")
     assert code == EXIT_OK
@@ -330,15 +350,19 @@ def test_unknown_choice_is_an_argparse_error(capsys):
     assert excinfo.value.code == 2
 
 
-def test_module_entry_point():
-    # the child imports the package the tests imported, however it was found
+def run_python(*args):
+    """Run a fresh interpreter that imports the package the tests imported."""
     source_root = str(Path(mdentropy.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mdentropy", "beta", "--dims", "2"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = run_python("-m", "mdentropy", "beta", "--dims", "2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("dims,orbit_count,log_radius")
 
@@ -361,3 +385,50 @@ def test_stdout_matches_recorded_bytes(capsys, recorded):
     assert code == EXIT_OK
     assert err == ""
     assert out.encode() == (GOLDEN / recorded).read_bytes()
+
+
+# runs every command but dimer-only brackets, then checks that none loaded
+# scipy; then a dimer-only bracket and a sparse matrix load it on demand
+SCIPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+import mdentropy
+import mdentropy.cli as cli
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+codes = [run(*argv)[0] for argv in [
+    ("beta", "--dims", "6"),
+    ("bounds", "--target", "h2", "--upper", "3", "--lower", "1,3"),
+    ("bounds", "--target", "h3", "--upper", "1,1", "--lower", "1,1,1,1,1"),
+    ("table", "--which", "1", "--max-size", "8"),
+    ("lambda", "--d", "2", "--grid", "0.1"),
+    ("verify", "--max-points", "6"),
+    ("beta", "--dims", "6,5"),
+]]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+dimer_code, dimer_out = run("beta", "--dims", "4,3", "--dimer-only")
+
+import numpy as np
+from scipy import sparse
+from mdentropy.spectral import power_method
+bracket, _ = power_method(sparse.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]])))
+print(json.dumps({"codes": codes, "loaded": loaded, "dimer_code": dimer_code,
+                  "dimer_out": dimer_out, "bracket": [bracket.lower, bracket.upper]}))
+"""
+
+
+def test_commands_start_without_scipy():
+    proc = run_python("-c", SCIPY_FREE_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [EXIT_OK] * 6 + [EXIT_CAPACITY]
+    assert result["loaded"] == []
+    assert result["dimer_code"] == EXIT_OK
+    assert result["dimer_out"].encode() == (GOLDEN / "beta_4_3_dimer.csv").read_bytes()
+    lower, upper = result["bracket"]
+    assert lower <= 2.0 <= upper
+    assert upper - lower <= 1e-9
