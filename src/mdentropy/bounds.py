@@ -17,23 +17,14 @@ with the convention that a section with a zero extent contributes
 log 2 per remaining point.  Composed bounds use the pessimistic bracket
 ends: upper bounds from upper ends, lower bounds from lower minus upper.
 
-Each growth rate is bracketed on the torus-kind operator by one of two
-paths, chosen from `dimer_only`.  A monomer-dimer operator is iterated as
-the full 2^n-state vector through the site sweep of `transfer`, with no
-orbits, quotient or matrix built: M(0, T) = c(complement of T) >= 1 links
-every mask to the empty one and M(0, 0) >= 1, so the operator is
-irreducible and primitive and one positive vector brackets its radius.
-Dimer-only operators are reducible on even sections (2 to 7 components
-up to 12 points), and on odd sections they need hundreds to thousands of
-iterations (9291 on (5, 3)); the dense orbit quotient splits components
-and is |G| times smaller per step, which makes it about eight times
-faster than the sweep on (5, 3): 1.5 s against 11.3 s for a single
-bracket, quotient build included.
-Either path predicts its peak bytes and checks them against the memory
-budget before it allocates (`check_section`): the sweep fits 24 points,
-the quotient 17 to 18.  `h2_bounds` and `h3_bounds` check every section
-their formulas name before the first bracket, so a bound with one
-section past capacity fails at once rather than after the others.
+Each growth rate is bracketed by iterating the full 2^n-state vector
+through the site sweep of `transfer`, with no orbits or matrix built.
+A monomer-dimer operator is irreducible (M(0, T) >= 1, M(0, 0) >= 1);
+a dimer-only one is block-diagonal over the sectors of `dimer_sectors`
+and bracketed per sector, through M^2 on odd sections.  `check_section`
+checks a bracket's bytes against the memory budget first; 24 points
+fit.  `h2_bounds` and `h3_bounds` check every section their formulas
+name before the first bracket, so one section past capacity fails fast.
 
 Closed-form route: the permanental lower bound for r-regular bipartite
 graphs gives, per site, the concave function lambda_lower(d, p) below the
@@ -53,9 +44,11 @@ from functools import partial, wraps
 from math import comb, factorial, prod
 from typing import NamedTuple
 
+import numpy as np
+
 from .lattice import LatticeShape, check_memory
 from .matchcount import CoverTable, SectionKind, SectionPieces
-from .spectral import SpectralBracket, operator_power_method, power_method
+from .spectral import SpectralBracket, operator_power_method
 from .symmetry import burnside_orbit_count, compute_orbits, generate_motion_group
 from .transfer import QuotientMatrix, build_quotient, sweep_apply
 
@@ -90,34 +83,19 @@ def _quotient_bytes(n: int, m: int) -> int:
     return 24 * m * m + 100 * m + (160 << n) + (1 << 22)  # see section_quotient
 
 
-def check_section(dims, quotient: bool = False):
+def check_section(dims) -> LatticeShape:
     """Raise CapacityError unless a section's bracket fits the memory budget.
 
-    `quotient` selects the orbit quotient path, which `transfer_log_radius`
-    takes for dimer-only sections, over the sweep.  Returns the section's
-    shape and, on the quotient path, its motion group.
-
-    The sweep holds five float64 vectors of 2^n: iterate, image, scratch,
-    the sweep's copy and the `mult * values` temporary of extent-2
-    sections, plus 256 KiB for numpy's ufunc buffers.  Under the buffer
-    size that `place_pieces` sets, a float64 sweep of (10,) to (17,), (4, 4)
-    or (5, 3) traced 14-15 KiB above its copy, with or without a batch of 3
-    (194 KiB at numpy's default size); the iteration's operations are
-    contiguous and use no buffer.  A quotient is predicted from its
-    Burnside orbit count m, as in `section_quotient`; its 2^n terms alone
-    (m = 0) are checked first, since they exceed the budget past 22
-    points, so no group is generated for such a section.
-    The shape is checked before either, against the 64-point mask limit.
+    Returns the section's shape, checked first against the 64-point mask
+    limit.  One prediction, 60 B per mask plus 1 MiB, covers both kinds:
+    four float64 vectors of 2^n (iterate, image, scratch, sweep copy),
+    plus, for dimer-only sectors, a gather buffer, the int64 sort order,
+    int8 labels, and the first product of an odd section's M^2 step.
+    Traced peaks per mask: 32-34 B, 49-51 B dimer-only, 57-58 B odd.
     """
     shape = _section_shape(_canonical(dims))
-    if not quotient:
-        check_memory((40 << shape.n) + (1 << 18), f"the sweep bracket of section {shape.dims}")
-        return shape, None
-    what = f"the orbit quotient of section {shape.dims}"
-    check_memory(_quotient_bytes(shape.n, 0), f"{what}, counting its 2^{shape.n} masks alone,")
-    group = generate_motion_group(shape)
-    check_memory(_quotient_bytes(shape.n, burnside_orbit_count(group, shape.n)), what)
-    return shape, group
+    check_memory((60 << shape.n) + (1 << 20), f"the sweep bracket of section {shape.dims}")
+    return shape
 
 
 class CacheInfo(NamedTuple):
@@ -132,19 +110,14 @@ def _cached_by_section(fn):
 
     Transposing axes is a relabeling automorphism of the torus, so
     spectrum and orbit structure agree.  The returned function has the
-    `cache_info` and `cache_clear` of an unbounded `lru_cache`, and
-    `cache_discard`, which drops the entry of one call's arguments and
-    leaves the statistics as they are.
+    `cache_info` and `cache_clear` of an unbounded `lru_cache`.
     """
     entries = {}
     stats = [0, 0]
 
-    def key(dims, args, kwargs):
-        return _canonical(dims), args, tuple(sorted(kwargs.items()))
-
     @wraps(fn)
     def lookup(dims, *args, **kwargs):
-        k = key(dims, args, kwargs)
+        k = _canonical(dims), args, tuple(sorted(kwargs.items()))
         if k in entries:
             stats[0] += 1
         else:
@@ -158,7 +131,6 @@ def _cached_by_section(fn):
 
     lookup.cache_info = lambda: CacheInfo(stats[0], stats[1], None, len(entries))
     lookup.cache_clear = cache_clear
-    lookup.cache_discard = lambda dims, *args, **kwargs: entries.pop(key(dims, args, kwargs), None)
     return lookup
 
 
@@ -166,22 +138,43 @@ def _cached_by_section(fn):
 def section_quotient(dims: tuple[int, ...], dimer_only: bool = False) -> QuotientMatrix:
     """Orbit-folded torus transfer matrix for a section, cached on its sorted dims.
 
-    Before the table is built, `check_section` predicts the bracket's
-    bytes for m orbits: 24 B per quotient entry (int64, its float64 copy
-    and a component submatrix; dimer-only quotients measured 18-20), 100 B
-    per orbit, and 160 B per mask plus 4 MiB for the table, the orbit
-    labelling (int32) and the fold.
+    A reference for the sweep brackets.  Its bracket with `power_method`
+    is predicted for m orbits: 24 B per quotient entry (int64, its float64
+    copy and a component submatrix), 100 B per orbit, and 160 B per mask
+    plus 4 MiB for the table, the orbit labels and the fold.  Its 2^n
+    terms alone (m = 0) are checked first, so no group is generated for a
+    section past 22 points.
     """
-    shape, group = check_section(dims, quotient=True)
+    shape = _section_shape(dims)
+    what = f"the orbit quotient of section {shape.dims}"
+    check_memory(_quotient_bytes(shape.n, 0), f"{what}, counting its 2^{shape.n} masks alone,")
+    group = generate_motion_group(shape)
+    check_memory(_quotient_bytes(shape.n, burnside_orbit_count(group, shape.n)), what)
     table = CoverTable(shape, SectionKind.TORUS, dimer_only)
-    orbits = compute_orbits(group, shape.n)
-    return build_quotient(table, orbits)
+    return build_quotient(table, compute_orbits(group, shape.n))
 
 
 def section_orbit_count(dims) -> int:
     """Number of mask orbits of the section's rigid motions."""
     shape = _section_shape(_canonical(dims))
     return burnside_orbit_count(generate_motion_group(shape), shape.n)
+
+
+def dimer_sectors(shape: LatticeShape) -> np.ndarray:
+    """Int8 label of every mask's block in the dimer-only torus matrix M.
+
+    M(S, T) counts dimer tilings of the complement of S | T.  If n is
+    even and every extent other than 1 is even, a tiling covers as many
+    black as white points, so d(T) = -d(S) for d the black minus white
+    points of a mask: the label is |d(S)|.  Otherwise |S| + |T| = n (mod
+    2), and the label is |S| mod 2, kept by M for even n, M^2 for odd n.
+    """
+    even = shape.n % 2 == 0 and all(m % 2 == 0 or m == 1 for m in shape.dims)
+    labels = np.zeros(1, dtype=np.int8)
+    for v in range(shape.n):
+        step = 1 - 2 * (sum(shape.point_coords(v)) % 2) if even else 1
+        labels = np.concatenate([labels, labels + step])
+    return np.abs(labels) if even else labels & 1
 
 
 def _exact_log_bracket(value: float, shift: float) -> SpectralBracket:
@@ -202,24 +195,18 @@ def transfer_log_radius(dims: tuple[int, ...], dimer_only: bool = False,
     if any(m == 0 for m in dims):
         points = prod(m for m in dims if m) if any(dims) else 1
         return _exact_log_bracket(points * math.log(2.0), shift)
+    shape = check_section(dims)
+    pieces = SectionPieces(shape, SectionKind.TORUS, dimer_only)
+    apply, sectors, power = partial(sweep_apply, pieces), None, 1
     if dimer_only:
-        # even sections are reducible, so a single vector would stall on the
-        # weakest component; the quotient splits components, and it is |G|
-        # times smaller for the thousands of iterations odd sections need
-        qm = section_quotient(dims, dimer_only)
-        bracket, _ = power_method(qm.to_dense(), weights=qm.weight_vector(),
-                                  shift=shift, tol=tol, max_iter=max_iter)
-        # only the bracket is kept: a cached quotient would outlive the
-        # budget check that admitted it
-        section_quotient.cache_discard(dims, dimer_only)
-    else:
-        shape, _ = check_section(dims)
-        pieces = SectionPieces(shape, SectionKind.TORUS)
-        bracket, _ = operator_power_method(partial(sweep_apply, pieces), pieces.full + 1,
-                                           shift=shift, tol=tol, max_iter=max_iter)
+        sectors = dimer_sectors(shape)
+        if shape.n % 2:
+            apply, power = (lambda x: sweep_apply(pieces, sweep_apply(pieces, x))), 2
+    bracket, _ = operator_power_method(apply, pieces.full + 1, shift=shift, tol=tol,
+                                       max_iter=max_iter, sectors=sectors)
 
     def safe_log(x: float) -> float:
-        return math.log(x) if x > 0 else -math.inf
+        return math.log(x) / power if x > 0 else -math.inf
 
     return SpectralBracket(
         lower=safe_log(bracket.lower),
@@ -243,7 +230,7 @@ def _section_brackets(sections, dimer_only: bool, tol: float) -> list[SpectralBr
     """
     for dims in sections:
         if all(dims):
-            check_section(dims, quotient=dimer_only)
+            check_section(dims)
     return [transfer_log_radius(_canonical(dims), dimer_only, tol) for dims in sections]
 
 

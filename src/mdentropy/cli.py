@@ -243,7 +243,7 @@ def cmd_table(args) -> int:
     dimer_only = args.which in (2, 4)
     shapes = [s for s in TABLE_SHAPES[args.which] if prod(s) <= args.max_size]
     for s in shapes:
-        check_section(s, quotient=dimer_only)
+        check_section(s)
     results = [_beta_row(s, dimer_only, args.tol, args.shift, args.max_iters)
                for s in shapes]
     rows = [{c: row[c] for c in TABLE_COLUMNS} for row in results]
@@ -282,7 +282,8 @@ def _add_spectral_flags(parser) -> None:
     parser.add_argument("--shift", type=_shift, default=1.0,
                         help="diagonal shift for the power method (finite, > 0)")
     parser.add_argument("--max-iters", type=_count, default=1_000_000,
-                        dest="max_iters", help="iteration cap per component (>= 1)")
+                        dest="max_iters", help="iteration cap per bracket (>= 1); on odd"
+                        " dimer-only sections one M^2 step counts once")
 
 
 def _add_format_flag(parser) -> None:

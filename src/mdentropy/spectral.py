@@ -9,30 +9,31 @@ positive vector gives at every step the two-sided bound
 with the minimum nondecreasing and the maximum nonincreasing over
 iterations, so the running bracket certifies the radius no matter where
 the iteration stops.  The shift r > 0 removes the period-two oscillation
-of bipartite matrices.  Reducible matrices are handled by iterating each
-connected component separately and taking the componentwise maximum of
-the brackets: on a direct sum, a single positive vector would pin the
-lower ratio to the weakest component forever.
+of bipartite matrices.  On a direct sum, a single positive vector would
+pin the lower ratio to the weakest block forever; but each block's
+ratios bracket its own radius, and the largest of those is rho(A), so
+the bracket is [max of the blocks' lower ends, max of their upper ends].
 
-`power_method` takes the matrix itself (dense or sparse), so it can find
-the components.  `operator_power_method` runs the same iteration on an
-operator given only by its product, such as the site sweep of the full
-transfer matrix; it iterates a single vector, which is sound only for an
-irreducible operator.  scipy, which finds the components, is imported
-inside `power_method`: the operator path never needs it, and loading it
-would about double the start-up time of every command.
+`power_method` takes the matrix itself (dense or sparse) and finds its
+blocks as connected components with scipy, imported when it is called.
+`operator_power_method` runs the same iteration on an operator given
+only by its product, such as the site sweep of the full transfer
+matrix: caller-given sector labels name its blocks, and ratio extremes,
+inner products and norms are reduced per sector over one vector.
 
 A step allocates nothing of the operator's size itself: it works through
 numpy `out=` arguments in three preallocated vectors, the iterate x, its
 image y and one scratch vector for the ratios y / x and the inner-product
 terms, so the product the operator returns is the only other such vector
-alive.  Unit weights, on the operator path and for unweighted matrices,
-skip the multiplications by w; those would be exact, so no bit moves.  A
-weighted inner product multiplies w * a * b in that order, as the plain
-expression does, since the quotient's digits depend on its rounding.
-Non-finite values are caught on the two ratio extremes instead of a pass
-over y: x stays positive, so an inf or NaN anywhere in y reaches the
-minimum or the maximum of y / x, and the step raises ArithmeticError.
+alive; sectors add one buffer, into which `take` gathers each sector's
+entries, in stable-sort order, for `reduceat`.  Unit weights, on the
+operator path and for unweighted matrices, skip the multiplications by
+w; those would be exact, so no bit moves.  A weighted inner product
+multiplies w * a * b in that order, as the plain expression does, since
+the quotient's digits depend on its rounding.  Non-finite values are
+caught on the ratio extremes instead of a pass over y: x stays positive,
+so an inf or NaN anywhere in y reaches the minimum or the maximum of
+y / x, and the step raises ArithmeticError.
 
 Brackets are computed in float64 from exact integer entries;
 certification is up to roundoff in entries and products, not interval
@@ -74,57 +75,76 @@ def _check_iteration(shift, tol, max_iter) -> None:
         raise ValueError("max_iter must be at least 1")
 
 
-def _iterate(apply, weights, size, shift, tol, max_iter, history, component):
+def _iterate(apply, weights, size, shift, tol, max_iter, history, component, sectors=None):
+    if sectors is None:
+        def per_sector(values, *ufuncs):
+            return [ufunc.reduce(values, keepdims=True) for ufunc in ufuncs]
+    else:
+        counts = np.bincount(sectors)
+        if sectors.shape != (size,) or not counts.all():
+            raise ValueError("sector labels must be 0, 1, ..., k - 1 over the whole vector")
+        order = np.argsort(sectors, kind="stable")
+        starts = np.cumsum(counts) - counts
+        gathered = np.empty(size)
+
+        def per_sector(values, *ufuncs):
+            np.take(values, order, out=gathered, mode="clip")
+            return [ufunc.reduceat(gathered, starts) for ufunc in ufuncs]
     x = np.ones(size)
     y = np.empty(size)
     scratch = np.empty(size)
 
     def inner(a, b):
-        # sum of weights * a * b, multiplied in that order; None is unit weights
+        # sum of weights * a * b per sector, multiplied in that order; None is unit weights
         if weights is None:
             np.multiply(a, b, out=scratch)
         else:
             np.multiply(weights, a, out=scratch)
             np.multiply(scratch, b, out=scratch)
-        return np.sum(scratch)
+        return per_sector(scratch, np.add)[0]
 
-    lower = -math.inf
-    upper = math.inf
-    rayleigh = math.nan
+    def normalize(v):
+        norms = np.sqrt(inner(v, v))
+        spread = norms if sectors is None else np.take(norms, sectors, out=gathered, mode="clip")
+        np.divide(v, spread, out=x)
+
     iterations = 0
     converged = False
+    lower = upper = None
     while iterations < max_iter:
         iterations += 1
         np.multiply(x, shift, out=y)
         np.add(apply(x), y, out=y)
         np.divide(y, x, out=scratch)
-        low = float(scratch.min())
-        high = float(scratch.max())
+        low, high = (r.tolist() for r in per_sector(scratch, np.minimum, np.maximum))
         # x > 0, so an inf or NaN anywhere in y reaches a ratio extreme
-        if not (math.isfinite(low) and math.isfinite(high)):
+        if not all(map(math.isfinite, low + high)):
             raise ArithmeticError("power iteration produced non-finite values")
-        rayleigh = float(inner(x, y) / inner(x, x))
-        slack = 1e-11 * max(1.0, abs(rayleigh))
-        if not (low - slack <= rayleigh <= high + slack):
-            raise ArithmeticError("Rayleigh quotient escaped the ratio bracket")
-        lower = max(lower, low)
-        upper = min(upper, high)
+        rayleigh = (inner(x, y) / inner(x, x)).tolist()
+        for lo, r, hi in zip(low, rayleigh, high):
+            slack = 1e-11 * max(1.0, abs(r))
+            if not (lo - slack <= r <= hi + slack):
+                raise ArithmeticError("Rayleigh quotient escaped the ratio bracket")
+        lower = low if lower is None else list(map(max, lower, low))
+        upper = high if upper is None else list(map(min, upper, high))
+        top = upper.index(max(upper))
+        bottom, ceiling, estimate = max(lower), upper[top], rayleigh[top]
         if history is not None:
-            history.append((component, iterations, lower - shift, upper - shift,
-                            rayleigh - shift))
-        if upper - lower <= tol * max(1.0, abs(rayleigh)):
+            history.append((component, iterations, bottom - shift, ceiling - shift,
+                            estimate - shift))
+        if ceiling - bottom <= tol * max(1.0, abs(estimate)):
             converged = True
             break
-        np.divide(y, math.sqrt(float(inner(y, y))), out=x)
+        normalize(y)
     bracket = SpectralBracket(
-        lower=lower - shift,
-        upper=upper - shift,
-        rayleigh=rayleigh - shift,
+        lower=bottom - shift,
+        upper=ceiling - shift,
+        rayleigh=estimate - shift,
         iterations=iterations,
         shift=shift,
         converged=converged,
     )
-    x /= math.sqrt(float(inner(x, x)))
+    normalize(x)
     return bracket, x
 
 
@@ -189,17 +209,19 @@ def power_method(matrix, weights=None, shift: float = 1.0, tol: float = 1e-12,
 
 
 def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-12,
-                          max_iter: int = 1_000_000, history: list | None = None):
+                          max_iter: int = 1_000_000, history: list | None = None,
+                          sectors: np.ndarray | None = None):
     """Bracket the spectral radius of a symmetric nonnegative operator.
 
     `apply` maps a float64 vector of length `size` to the operator's product
-    with it, for an operator never materialized as a matrix.  Its
-    components cannot be split, so the caller guarantees irreducibility:
-    from one positive start vector the ratio bracket then closes on the
-    radius.  Arguments and result are those of `power_method`, with unit
-    weights.
+    with it, for an operator never materialized as a matrix.  `sectors`,
+    int labels 0 to k - 1 over the vector, name the invariant blocks of a
+    block-diagonal operator; ratio extremes, Rayleigh quotients and norms
+    are then taken per sector.  Without them the caller guarantees
+    irreducibility.  Arguments and result are otherwise those of
+    `power_method`, with unit weights.
     """
     if size < 1:
         raise ValueError("operator size must be positive")
     _check_iteration(shift, tol, max_iter)
-    return _iterate(apply, None, size, shift, tol, max_iter, history, 0)
+    return _iterate(apply, None, size, shift, tol, max_iter, history, 0, sectors)

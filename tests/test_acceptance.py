@@ -12,6 +12,8 @@ import math
 import random
 from contextlib import contextmanager
 
+import pytest
+
 from mdentropy.bounds import (
     dimer_lower,
     h2_bounds,
@@ -248,17 +250,30 @@ def test_acceptance_8_quotient_soundness():
                 assert low <= high + 1e-9 * scale, f"{dims} dimer={dimer_only}"
 
 
-def test_sweep_brackets_match_quotient_brackets():
-    # monomer-dimer radii come from the site sweep over all 2^n masks; the
-    # orbit quotient iterates the same vectors folded, so the brackets
-    # overlap as in criterion 8 and the iteration counts agree
-    for dims in [(10,), (12,), (3, 3), (4, 3), (8, 2)]:
-        qm = section_quotient(dims)
+@pytest.mark.parametrize("dimer_only, sections", [
+    (False, [(10,), (12,), (3, 3), (4, 3), (8, 2)]),
+    (True, [(10,), (12,), (3, 3), (4, 3), (4, 4), (5, 3)]),
+], ids=["monomer-dimer", "dimer-only"])
+def test_sweep_brackets_match_quotient_brackets(dimer_only, sections):
+    # radii come from the site sweep over all 2^n masks, per sector for
+    # dimer-only sections; the brackets overlap the orbit quotient's, and
+    # up to 12 points the unfolded matrix's, as in criterion 8 (the
+    # unfolded (4, 4) and (5, 3) take 0.7 to 2 GiB).  A monomer-dimer
+    # quotient iterates the sweep's vectors folded, so the iteration
+    # counts agree as well
+    for dims in sections:
+        sweep = transfer_log_radius(dims, dimer_only)
+        qm = section_quotient(dims, dimer_only)
         fold, _ = power_method(qm.to_dense(), qm.weight_vector())
-        sweep = transfer_log_radius(dims)
-        assert fold.converged and sweep.converged
-        assert sweep.iterations == fold.iterations, dims
-        low = max(fold.lower, math.exp(sweep.lower))
-        high = min(fold.upper, math.exp(sweep.upper))
-        scale = max(1.0, fold.upper)
-        assert low <= high + 1e-9 * scale, dims
+        references = [fold]
+        if math.prod(dims) <= 12:
+            table = CoverTable(LatticeShape(dims), SectionKind.TORUS, dimer_only)
+            references.append(power_method(full_matrix_sparse(table))[0])
+        assert sweep.converged
+        for ref in references:
+            assert ref.converged
+            low = max(ref.lower, math.exp(sweep.lower))
+            high = min(ref.upper, math.exp(sweep.upper))
+            assert low <= high + 1e-9 * max(1.0, ref.upper), (dims, dimer_only)
+        if not dimer_only:
+            assert sweep.iterations == fold.iterations, dims

@@ -81,16 +81,17 @@ def test_section_orbit_counts():
 
 
 def test_section_capacity_and_validation():
-    # past the memory budget: 2^25 states and more for the monomer-dimer
-    # sweep, 7685 and 184,854 orbits for the dimer-only quotients
+    # past the memory budget: 2^25 states and more for the sweep of either
+    # kind, 7685 and 184,854 orbits for the dimer-only quotients
     for dims in [(26,), (6, 5), (5, 5)]:
         with pytest.raises(CapacityError):
             transfer_log_radius(dims)
+    for dims in [(26,), (5, 5)]:
+        with pytest.raises(CapacityError):
+            transfer_log_radius(dims, dimer_only=True)
     for dims in [(6, 4), (18,)]:
         with pytest.raises(CapacityError):
             section_quotient(dims, dimer_only=True)
-        with pytest.raises(CapacityError):
-            transfer_log_radius(dims, dimer_only=True)
     # Burnside counts orbits without allocating 2^n of anything
     assert section_orbit_count((18,)) == 7685
     assert section_orbit_count((6, 4)) == 184854
@@ -119,20 +120,46 @@ def test_eighteen_point_dimer_only_bracket():
     assert section_orbit_count((6, 3)) == 4236
     bracket = transfer_log_radius((6, 3), dimer_only=True)
     assert bracket.converged
-    assert bracket.iterations == 42
+    assert bracket.iterations == 22
     assert abs(bracket.rayleigh - 7.9771620688) <= 1e-9
     assert bracket.lower <= bracket.rayleigh <= bracket.upper
 
 
+@pytest.mark.parametrize("dims,log_radius,iterations", [
+    ((5, 4), 9.0352570099016, 33),
+    # odd: 11 steps of M^2
+    ((7, 3), 9.2971316570827, 11),
+], ids=["5x4", "7x3"])
+def test_twenty_point_dimer_only_brackets(dims, log_radius, iterations):
+    # sections whose orbit quotients, 5.0 and 16 GiB, the budget refuses
+    bracket = transfer_log_radius(dims, dimer_only=True)
+    assert bracket.converged
+    assert bracket.iterations == iterations
+    assert bracket.lower <= log_radius <= bracket.upper
+    assert bracket.upper - bracket.lower <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(4, 1), (6, 1, 1), (3, 3, 1), (5, 1)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_extent_one_leaves_a_dimer_only_bracket_alone(dims):
+    # an extent of 1 adds no edge and leaves the colouring bipartite or not,
+    # so the sectors, the operator and every bit of the bracket stay
+    wide = transfer_log_radius(dims, dimer_only=True)
+    narrow = transfer_log_radius(tuple(m for m in dims if m > 1), dimer_only=True)
+    assert wide == narrow
+    assert wide.converged
+
+
 def test_dimer_only_brackets_keep_no_quotient():
-    # a cached quotient would outlive the budget check that admitted it;
-    # a quotient asked for directly stays, and every lookup is counted
+    # dimer-only brackets run on the sweep and never touch the quotient
+    # cache; a quotient asked for directly stays, and every lookup is counted
     section_quotient.cache_clear()
     transfer_log_radius.cache_clear()
     section_quotient((3, 2), True)
     transfer_log_radius((2, 4), dimer_only=True)
+    transfer_log_radius((5, 3), dimer_only=True)
     info = section_quotient.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 2, 1)
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
     section_quotient((3, 2), True)
     assert section_quotient.cache_info().hits == 1
 
@@ -196,15 +223,14 @@ def test_bound_parameter_validation():
     (h2_bounds, (11, 1, 13), {}),
     # the 24-point (6, 4) and (4, 4) come before (2, 14)
     (h3_bounds, (3, 2, 2, 1, 2, 2, 7), {}),
-    # the dimer-only (14,) quotient fits, (21,) does not
-    (h2_bounds, (7, 1, 10), {"dimer_only": True}),
+    # the dimer-only (14,) fits, (25,) does not
+    (h2_bounds, (7, 1, 12), {"dimer_only": True}),
 ], ids=["h2", "h3", "h2-dimer-only"])
 def test_bounds_check_every_section_before_the_first_bracket(monkeypatch, bound, args, kwargs):
     def no_bracket(*a, **k):
         raise AssertionError("a bracket ran before every section was checked")
 
     monkeypatch.setattr(bounds, "operator_power_method", no_bracket)
-    monkeypatch.setattr(bounds, "power_method", no_bracket)
     transfer_log_radius.cache_clear()
     with pytest.raises(CapacityError, match="memory budget"):
         bound(*args, **kwargs)

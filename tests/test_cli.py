@@ -12,7 +12,8 @@ import pytest
 
 import mdentropy
 import mdentropy.cli as cli
-from mdentropy import __version__
+from mdentropy import __version__, lattice
+from mdentropy.bounds import check_section
 from mdentropy.cli import (
     EXIT_CAPACITY,
     EXIT_NOT_CONVERGED,
@@ -22,6 +23,7 @@ from mdentropy.cli import (
     RUN_RECORD_SCHEMA,
     main,
 )
+from mdentropy.symmetry import generate_motion_group
 
 
 def run_cli(capsys, *argv):
@@ -86,11 +88,13 @@ def test_beta_capacity_exit(capsys):
     (("bounds", "--target", "h2", "--upper", "500000000", "--lower", "1,1"), "mask limit"),
     (("bounds", "--target", "h2t", "--upper", "500000000", "--lower", "1,1"), "mask limit"),
     (("beta", "--dims", "2,2,2,2,2,2", "--dimer-only"), "memory budget"),
+    (("beta", "--dims", "25", "--dimer-only"), "memory budget"),
+    (("beta", "--dims", "5,5", "--dimer-only"), "memory budget"),
 ])
 def test_huge_sections_exit_before_any_work(capsys, monkeypatch, argv, reason):
     # the shape meets the 64-point mask limit before bytes are predicted
-    # from 2^n, and a quotient's 2^n terms meet the budget before its
-    # motion group is generated (46,080 motions of 64 points for 2x2x2x2x2x2)
+    # from 2^n, and the bracket's bytes meet the budget before any motion
+    # group is generated (46,080 motions of 64 points for 2x2x2x2x2x2)
     def no_group(shape):
         raise AssertionError(f"motion group generated for {shape.dims}")
 
@@ -169,16 +173,15 @@ def test_bounds_usage_and_capacity(capsys):
 @pytest.mark.parametrize("argv", [
     ("bounds", "--target", "h2", "--upper", "11", "--lower", "1,13"),
     ("bounds", "--target", "h3", "--upper", "3,2", "--lower", "2,1,2,2,7"),
-    ("bounds", "--target", "h2t", "--upper", "7", "--lower", "1,10"),
+    ("bounds", "--target", "h2t", "--upper", "7", "--lower", "1,12"),
 ], ids=["h2", "h3", "h2t"])
 def test_bounds_refuse_before_any_bracket(capsys, monkeypatch, argv):
-    # (27,), (2, 14) and the dimer-only (21,) are past capacity; the
+    # (27,), (2, 14) and the dimer-only (25,) are past capacity; the
     # sections named before them must not be bracketed first
     def no_bracket(*args, **kwargs):
         raise AssertionError("a bracket ran before every section was checked")
 
     monkeypatch.setattr(mdentropy.bounds, "operator_power_method", no_bracket)
-    monkeypatch.setattr(mdentropy.bounds, "power_method", no_bracket)
     mdentropy.bounds.transfer_log_radius.cache_clear()
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_CAPACITY
@@ -269,12 +272,34 @@ def test_table_size_limits(capsys, monkeypatch):
     def no_rows(*args, **kwargs):
         raise AssertionError("a row ran before every row was checked")
 
-    # the dimer-only (6, 4) row, 184,854 orbits, fails before any row runs
+    # under an 8 MiB budget the last row, (6, 3), fails before any row runs;
+    # (4, 4), the row before it, fits
     monkeypatch.setattr(cli, "transfer_log_radius", no_rows)
-    code, out, err = run_cli(capsys, "table", "--which", "4", "--max-size", "24")
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 8 << 20)
+    check_section((4, 4))
+    code, out, err = run_cli(capsys, "table", "--which", "4", "--max-size", "18")
     assert code == EXIT_CAPACITY
     assert out == ""
     assert "capacity" in err
+
+
+@pytest.mark.parametrize("argv, groups", [
+    (("beta", "--dims", "4,3", "--dimer-only"), 1),
+    (("table", "--which", "2", "--max-size", "8"), 5),
+], ids=["beta-dimer-only", "table-2"])
+def test_motion_group_is_generated_once_per_row(capsys, monkeypatch, argv, groups):
+    # only the orbit_count column needs the group; brackets and capacity
+    # checks run without it
+    calls = []
+
+    def counted(shape):
+        calls.append(shape.dims)
+        return generate_motion_group(shape)
+
+    monkeypatch.setattr(mdentropy.bounds, "generate_motion_group", counted)
+    mdentropy.bounds.transfer_log_radius.cache_clear()
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert len(calls) == groups == len(set(calls))
 
 
 @pytest.mark.parametrize("dimer_which, md_which, max_size", [(2, 1, 10), (4, 3, 12)])
@@ -387,12 +412,23 @@ def test_stdout_matches_recorded_bytes(capsys, recorded):
     assert out.encode() == (GOLDEN / recorded).read_bytes()
 
 
-# runs every command but dimer-only brackets, then checks that none loaded
-# scipy; then a dimer-only bracket and a sparse matrix load it on demand
+# runs commands of both kinds with the orbit quotient's functions made to
+# raise, then checks that none loaded scipy; then a sparse matrix loads it
 SCIPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 import mdentropy
 import mdentropy.cli as cli
+from mdentropy import bounds, spectral, symmetry, transfer
+
+power_method = spectral.power_method
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a command reached the orbit quotient")
+
+for module in (bounds, spectral, symmetry, transfer):
+    for name in ("section_quotient", "build_quotient", "compute_orbits", "power_method"):
+        if hasattr(module, name):
+            setattr(module, name, refuse)
 
 def run(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -400,24 +436,30 @@ def run(*argv):
         code = cli.main(list(argv))
     return code, out.getvalue()
 
-codes = [run(*argv)[0] for argv in [
+runs = [run(*argv) for argv in [
+    ("beta", "--dims", "4,3", "--dimer-only"),
     ("beta", "--dims", "6"),
+    ("beta", "--dims", "5,3", "--dimer-only"),
     ("bounds", "--target", "h2", "--upper", "3", "--lower", "1,3"),
     ("bounds", "--target", "h3", "--upper", "1,1", "--lower", "1,1,1,1,1"),
+    ("bounds", "--target", "h2t", "--upper", "7", "--lower", "2,6"),
+    ("bounds", "--target", "h3t", "--upper", "2,2", "--lower", "1,1,1,1,1"),
     ("table", "--which", "1", "--max-size", "8"),
+    ("table", "--which", "2", "--max-size", "8"),
+    ("table", "--which", "3", "--max-size", "8"),
+    ("table", "--which", "4", "--max-size", "8"),
     ("lambda", "--d", "2", "--grid", "0.1"),
     ("verify", "--max-points", "6"),
     ("beta", "--dims", "6,5"),
+    ("beta", "--dims", "5,5", "--dimer-only"),
 ]]
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-dimer_code, dimer_out = run("beta", "--dims", "4,3", "--dimer-only")
 
 import numpy as np
 from scipy import sparse
-from mdentropy.spectral import power_method
 bracket, _ = power_method(sparse.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]])))
-print(json.dumps({"codes": codes, "loaded": loaded, "dimer_code": dimer_code,
-                  "dimer_out": dimer_out, "bracket": [bracket.lower, bracket.upper]}))
+print(json.dumps({"codes": [code for code, _ in runs], "loaded": loaded,
+                  "dimer_out": runs[0][1], "bracket": [bracket.lower, bracket.upper]}))
 """
 
 
@@ -425,9 +467,8 @@ def test_commands_start_without_scipy():
     proc = run_python("-c", SCIPY_FREE_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [EXIT_OK] * 6 + [EXIT_CAPACITY]
+    assert result["codes"] == [EXIT_OK] * 13 + [EXIT_CAPACITY] * 2
     assert result["loaded"] == []
-    assert result["dimer_code"] == EXIT_OK
     assert result["dimer_out"].encode() == (GOLDEN / "beta_4_3_dimer.csv").read_bytes()
     lower, upper = result["bracket"]
     assert lower <= 2.0 <= upper

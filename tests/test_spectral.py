@@ -110,6 +110,25 @@ def test_reducible_matrix_takes_componentwise_maximum():
     assert vector[0] == vector[1] == 0.0
 
 
+def test_operator_sectors_bracket_a_reducible_operator():
+    # a block of radius 1 next to one of radius 3: one positive vector pins
+    # the lower ratio to the weak block, per-sector ratios do not
+    matrix = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    pinned, _ = operator_power_method(matrix.__matmul__, 3, max_iter=200)
+    assert not pinned.converged
+    assert pinned.lower <= 1.0
+    bracket, vector = operator_power_method(matrix.__matmul__, 3,
+                                            sectors=np.array([1, 1, 0], dtype=np.int8))
+    assert bracket.converged
+    assert bracket.lower <= 3.0 <= bracket.upper
+    assert bracket.width <= 1e-12
+    assert bracket.rayleigh == 3.0
+    assert (vector > 0).all()
+    for bad in ([0, 0, 2], [1, 1, 1], [0, 1]):
+        with pytest.raises(ValueError, match="sector labels"):
+            operator_power_method(matrix.__matmul__, 3, sectors=np.array(bad, dtype=np.int8))
+
+
 def test_sparse_input_agrees_with_dense():
     dense_bracket, _ = power_method(PATH_GRAPH)
     sparse_bracket, _ = power_method(sparse.csr_matrix(PATH_GRAPH))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from mdentropy.bounds import dimer_sectors
 from mdentropy.lattice import CapacityError, LatticeShape
 from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, place_pieces
 from mdentropy.symmetry import (
@@ -157,6 +158,26 @@ def test_monomer_dimer_operator_is_irreducible(dims):
     matrix = full_matrix_sparse(torus_table(dims))
     n_comp, _ = connected_components(matrix, directed=True, connection="strong")
     assert n_comp == 1
+
+
+@pytest.mark.parametrize("dims", [(m,) for m in range(3, 9)]
+                         + [(12,), (2, 2), (4, 2), (6, 2), (3, 3), (4, 3),
+                            (4, 1), (3, 1), (4, 2, 1), (3, 3, 1)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_dimer_only_operator_splits_into_its_sectors(dims):
+    # the per-sector bracket of transfer_log_radius rests on the first
+    # assertion, its convergence on the second: every nonzero entry of M,
+    # of M^2 on odd sections, joins two masks of one sector, and each
+    # sector is one connected component
+    shape = LatticeShape(dims)
+    matrix = full_matrix_sparse(torus_table(dims, dimer_only=True))
+    if shape.n % 2:
+        matrix = matrix @ matrix
+    labels = dimer_sectors(shape)
+    entries = matrix.tocoo()
+    assert np.array_equal(labels[entries.row], labels[entries.col])
+    n_comp, components = connected_components(matrix, directed=False)
+    assert n_comp == labels.max() + 1 == len(set(zip(components, labels)))
 
 
 def test_single_layer_trace_is_the_ring_cover_count():
