@@ -140,8 +140,10 @@ def section_quotient(dims: tuple[int, ...], dimer_only: bool = False) -> Quotien
 
     A reference for the sweep brackets.  Its bracket with `power_method`
     is predicted for m orbits: 24 B per quotient entry (int64, its float64
-    copy and a component submatrix), 100 B per orbit, and 160 B per mask
-    plus 4 MiB for the table, the orbit labels and the fold.  Its 2^n
+    copy, and the CSR copy of its nonzeros from which scipy labels the
+    components: about 32 B per nonzero, and from 12 points on at most a
+    quarter of the entries are nonzero), 100 B per orbit, and 160 B per
+    mask plus 4 MiB for the table, the orbit labels and the fold.  Its 2^n
     terms alone (m = 0) are checked first, so no group is generated for a
     section past 22 points.
     """

@@ -6,8 +6,9 @@ verify (the enumeration cross-check suite), table (batch section runs).
 
 Output is CSV with a fixed header or a JSON run record.  Data rows are
 deterministic for fixed flags; timings appear only in the JSON metadata.
-Exit codes: 0 success, 1 verification failure, 2 usage, 3 result did not
-converge (bracket only), 4 capacity exceeded.
+Exit codes: 0 success, 1 verification failure, 2 usage, 3 numerical
+(a bracket hit its iteration cap and is printed, or the iteration broke
+down and nothing is), 4 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -355,3 +356,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"numerical: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED

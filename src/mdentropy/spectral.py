@@ -14,12 +14,15 @@ pin the lower ratio to the weakest block forever; but each block's
 ratios bracket its own radius, and the largest of those is rho(A), so
 the bracket is [max of the blocks' lower ends, max of their upper ends].
 
-`power_method` takes the matrix itself (dense or sparse) and finds its
-blocks as connected components with scipy, imported when it is called.
-`operator_power_method` runs the same iteration on an operator given
-only by its product, such as the site sweep of the full transfer
-matrix: caller-given sector labels name its blocks, and ratio extremes,
-inner products and norms are reduced per sector over one vector.
+Both entry points run one driver.  `power_method` takes the matrix
+itself (dense or sparse) and labels its blocks, the connected
+components, with scipy, imported when it is called.
+`operator_power_method` takes an operator given only by its product,
+such as the site sweep of the full transfer matrix, and block labels
+from the caller.  All blocks step together over one vector, with ratio
+extremes, inner products and norms reduced per block, so `iterations`
+counts joint steps; the vector returned is zero outside the block of
+the largest upper end.
 
 A step allocates nothing of the operator's size itself: it works through
 numpy `out=` arguments in three preallocated vectors, the iterate x, its
@@ -75,7 +78,7 @@ def _check_iteration(shift, tol, max_iter) -> None:
         raise ValueError("max_iter must be at least 1")
 
 
-def _iterate(apply, weights, size, shift, tol, max_iter, history, component, sectors=None):
+def _iterate(apply, weights, size, shift, tol, max_iter, history, sectors=None):
     if sectors is None:
         def per_sector(values, *ufuncs):
             return [ufunc.reduce(values, keepdims=True) for ufunc in ufuncs]
@@ -130,8 +133,7 @@ def _iterate(apply, weights, size, shift, tol, max_iter, history, component, sec
         top = upper.index(max(upper))
         bottom, ceiling, estimate = max(lower), upper[top], rayleigh[top]
         if history is not None:
-            history.append((component, iterations, bottom - shift, ceiling - shift,
-                            estimate - shift))
+            history.append((iterations, bottom - shift, ceiling - shift, estimate - shift))
         if ceiling - bottom <= tol * max(1.0, abs(estimate)):
             converged = True
             break
@@ -145,6 +147,8 @@ def _iterate(apply, weights, size, shift, tol, max_iter, history, component, sec
         converged=converged,
     )
     normalize(x)
+    if sectors is not None:
+        x[sectors != top] = 0.0
     return bracket, x
 
 
@@ -154,7 +158,10 @@ def power_method(matrix, weights=None, shift: float = 1.0, tol: float = 1e-12,
 
     `matrix` is a dense ndarray or scipy sparse matrix; `weights` the inner
     product weights (ones when omitted).  `tol` is relative bracket width.
-    Returns (SpectralBracket, eigenvector estimate).
+    A reducible matrix is stepped whole, with ratios, norms and Rayleigh
+    quotients taken per connected component, so `iterations` and
+    `max_iter` count joint steps.  Returns (SpectralBracket, eigenvector
+    estimate on the dominant component, zero elsewhere).
     """
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components
@@ -172,40 +179,11 @@ def power_method(matrix, weights=None, shift: float = 1.0, tol: float = 1e-12,
     if w is not None and (w.shape != (m,) or (w <= 0).any()):
         raise ValueError("weights must be positive and match the matrix size")
 
-    pattern = sparse.csr_matrix(mat != 0) if dense else mat
-    n_comp, labels = connected_components(pattern, directed=False)
-
-    brackets = []
-    vectors = []
-    indices = []
-    total_iterations = 0
-    for c in range(n_comp):
-        idx = np.flatnonzero(labels == c)
-        sub = mat[np.ix_(idx, idx)] if dense else mat[idx][:, idx]
-        bracket, vec = _iterate(sub.__matmul__, None if w is None else w[idx], len(idx),
-                                shift, tol, max_iter, history, c)
-        total_iterations += bracket.iterations
-        brackets.append(bracket)
-        vectors.append(vec)
-        indices.append(idx)
-
-    # rho(A) is the max over components; lower bounds max out as well
-    best = max(range(n_comp), key=lambda c: brackets[c].upper)
-    rho_lower = max(b.lower for b in brackets)
-    rho_upper = max(b.upper for b in brackets)
-    rayleigh = brackets[best].rayleigh
-    converged = rho_upper - rho_lower <= tol * max(1.0, rho_upper + shift)
-    vector = np.zeros(m)
-    vector[indices[best]] = vectors[best]
-    result = SpectralBracket(
-        lower=rho_lower,
-        upper=rho_upper,
-        rayleigh=rayleigh,
-        iterations=total_iterations,
-        shift=shift,
-        converged=converged,
-    )
-    return result, vector
+    # labelled from a CSR copy of the nonzeros: scipy converts a dense
+    # graph through float64 and index copies of twice its size
+    n_comp, labels = connected_components(sparse.csr_matrix(mat), directed=False)
+    return _iterate(mat.__matmul__, w, m, shift, tol, max_iter, history,
+                    labels if n_comp > 1 else None)
 
 
 def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-12,
@@ -224,4 +202,4 @@ def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-
     if size < 1:
         raise ValueError("operator size must be positive")
     _check_iteration(shift, tol, max_iter)
-    return _iterate(apply, None, size, shift, tol, max_iter, history, 0, sectors)
+    return _iterate(apply, None, size, shift, tol, max_iter, history, sectors)

@@ -24,6 +24,7 @@ from mdentropy.cli import (
     main,
 )
 from mdentropy.symmetry import generate_motion_group
+from mdentropy.transfer import sweep_apply
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +119,31 @@ def test_beta_unconverged_exit(capsys):
     assert code == EXIT_NOT_CONVERGED
     _, rows = parse_csv(out)
     assert rows[0]["converged"] == "false"
+
+
+@pytest.mark.parametrize("argv", [
+    ("beta", "--dims", "6"),
+    ("beta", "--dims", "3,3", "--dimer-only"),
+    ("bounds", "--target", "h2", "--upper", "3", "--lower", "1,3"),
+    ("table", "--which", "4", "--max-size", "6"),
+], ids=["beta", "beta-dimer-odd", "bounds", "table"])
+def test_numerical_breakdown_exits_cleanly(capsys, monkeypatch, argv):
+    # a NaN in the sweep's product stops the bracket with ArithmeticError:
+    # exit 3 as for a capped bracket, but with nothing printed
+    def poisoned(pieces, x):
+        y = sweep_apply(pieces, x)
+        y[-1] = math.nan
+        return y
+
+    monkeypatch.setattr(mdentropy.bounds, "sweep_apply", poisoned)
+    mdentropy.bounds.transfer_log_radius.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    finally:
+        mdentropy.bounds.transfer_log_radius.cache_clear()
+    assert code == EXIT_NOT_CONVERGED
+    assert out == ""
+    assert err.startswith("numerical: ") and err.count("\n") == 1, err
 
 
 def test_bounds_h2_pair(capsys):
@@ -412,8 +438,26 @@ def test_stdout_matches_recorded_bytes(capsys, recorded):
     assert out.encode() == (GOLDEN / recorded).read_bytes()
 
 
-# runs commands of both kinds with the orbit quotient's functions made to
-# raise, then checks that none loaded scipy; then a sparse matrix loads it
+# one command of every kind, each of them exit 0
+COMMAND_KINDS = [
+    ("beta", "--dims", "4,3", "--dimer-only"),
+    ("beta", "--dims", "6"),
+    ("beta", "--dims", "5,3", "--dimer-only"),
+    ("bounds", "--target", "h2", "--upper", "3", "--lower", "1,3"),
+    ("bounds", "--target", "h3", "--upper", "1,1", "--lower", "1,1,1,1,1"),
+    ("bounds", "--target", "h2t", "--upper", "7", "--lower", "2,6"),
+    ("bounds", "--target", "h3t", "--upper", "2,2", "--lower", "1,1,1,1,1"),
+    ("table", "--which", "1", "--max-size", "8"),
+    ("table", "--which", "2", "--max-size", "8"),
+    ("table", "--which", "3", "--max-size", "8"),
+    ("table", "--which", "4", "--max-size", "8"),
+    ("lambda", "--d", "2", "--grid", "0.1"),
+    ("verify", "--max-points", "6"),
+]
+
+# runs the commands given as a JSON list in argv[1] with the orbit
+# quotient's functions made to raise, then checks that none loaded scipy;
+# then a sparse matrix loads it
 SCIPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 import mdentropy
@@ -436,23 +480,7 @@ def run(*argv):
         code = cli.main(list(argv))
     return code, out.getvalue()
 
-runs = [run(*argv) for argv in [
-    ("beta", "--dims", "4,3", "--dimer-only"),
-    ("beta", "--dims", "6"),
-    ("beta", "--dims", "5,3", "--dimer-only"),
-    ("bounds", "--target", "h2", "--upper", "3", "--lower", "1,3"),
-    ("bounds", "--target", "h3", "--upper", "1,1", "--lower", "1,1,1,1,1"),
-    ("bounds", "--target", "h2t", "--upper", "7", "--lower", "2,6"),
-    ("bounds", "--target", "h3t", "--upper", "2,2", "--lower", "1,1,1,1,1"),
-    ("table", "--which", "1", "--max-size", "8"),
-    ("table", "--which", "2", "--max-size", "8"),
-    ("table", "--which", "3", "--max-size", "8"),
-    ("table", "--which", "4", "--max-size", "8"),
-    ("lambda", "--d", "2", "--grid", "0.1"),
-    ("verify", "--max-points", "6"),
-    ("beta", "--dims", "6,5"),
-    ("beta", "--dims", "5,5", "--dimer-only"),
-]]
+runs = [run(*argv) for argv in json.loads(sys.argv[1])]
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 import numpy as np
@@ -464,12 +492,42 @@ print(json.dumps({"codes": [code for code, _ in runs], "loaded": loaded,
 
 
 def test_commands_start_without_scipy():
-    proc = run_python("-c", SCIPY_FREE_SCRIPT)
+    refused = [("beta", "--dims", "6,5"), ("beta", "--dims", "5,5", "--dimer-only")]
+    proc = run_python("-c", SCIPY_FREE_SCRIPT, json.dumps(COMMAND_KINDS + refused))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [EXIT_OK] * 13 + [EXIT_CAPACITY] * 2
+    assert result["codes"] == [EXIT_OK] * len(COMMAND_KINDS) + [EXIT_CAPACITY] * 2
     assert result["loaded"] == []
     assert result["dimer_out"].encode() == (GOLDEN / "beta_4_3_dimer.csv").read_bytes()
     lower, upper = result["bracket"]
     assert lower <= 2.0 <= upper
     assert upper - lower <= 1e-9
+
+
+# blocks scipy's import, as an install without the test extra has no
+# scipy: every command still runs, and power_method fails on the import
+SCIPY_BLOCKED_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+import numpy as np
+import mdentropy.cli as cli
+from mdentropy.spectral import power_method
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+try:
+    power_method(np.eye(2))
+    missing = None
+except ModuleNotFoundError as exc:
+    missing = exc.name
+print(json.dumps({"codes": codes, "missing": missing}))
+"""
+
+
+def test_commands_run_with_scipy_blocked():
+    proc = run_python("-c", SCIPY_BLOCKED_SCRIPT, json.dumps(COMMAND_KINDS))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [EXIT_OK] * len(COMMAND_KINDS),
+                                       "missing": "scipy"}

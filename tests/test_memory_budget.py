@@ -6,9 +6,9 @@ from functools import partial
 
 import pytest
 
-# full_matrix_sparse imports scipy when first called; importing it here
-# keeps the one-off import out of every traced window
-import scipy.sparse  # noqa: F401
+# full_matrix_sparse and power_method import scipy when first called;
+# importing it here keeps the one-off import out of every traced window
+import scipy.sparse.csgraph  # noqa: F401
 
 import mdentropy.bounds as bounds
 import mdentropy.matchcount as matchcount
@@ -17,6 +17,7 @@ import mdentropy.transfer as transfer
 from mdentropy import lattice
 from mdentropy.lattice import MEMORY_BUDGET, CapacityError, LatticeShape, check_memory
 from mdentropy.matchcount import CoverTable, SectionKind
+from mdentropy.spectral import power_method
 from mdentropy.symmetry import compute_orbits, generate_motion_group, identity_perm
 
 MIB = 1 << 20
@@ -39,6 +40,11 @@ def table(dims, kind=SectionKind.TORUS, dimer_only=False):
 def orbits(dims):
     shape = LatticeShape(dims)
     return compute_orbits(generate_motion_group(shape), shape.n)
+
+
+def quotient_bracket(dims, dimer_only=False):
+    qm = bounds.section_quotient(dims, dimer_only)
+    return power_method(qm.to_dense(), qm.weight_vector())
 
 
 @pytest.fixture
@@ -79,6 +85,8 @@ LAYERS = {
     "full_matrix_sparse-10": lambda: (transfer.full_matrix_sparse, table((10,))),
     "quotient-4x4": lambda: (transfer.build_quotient, table((4, 4), dimer_only=True),
                              orbits((4, 4))),
+    # the quotient's prediction covers its bracket, here of a reducible matrix
+    "quotient-bracket-dimer-4x4": lambda: (partial(quotient_bracket, dimer_only=True), (4, 4)),
     "form-protruding-12": lambda: (transfer.quadratic_form_count,
                                    table((12,), SectionKind.PROTRUDING), 8),
 }

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from mdentropy.lattice import LatticeShape
 from mdentropy.matchcount import CoverTable, SectionKind
@@ -13,9 +14,9 @@ from mdentropy.transfer import build_quotient
 PATH_GRAPH = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
 
-def torus_quotient(dims):
+def torus_quotient(dims, dimer_only=False):
     shape = LatticeShape(dims)
-    table = CoverTable(shape, SectionKind.TORUS)
+    table = CoverTable(shape, SectionKind.TORUS, dimer_only)
     orbits = compute_orbits(generate_motion_group(shape), shape.n)
     return build_quotient(table, orbits)
 
@@ -80,23 +81,21 @@ def test_four_ring_radius_value():
 
 
 def test_history_brackets_are_monotone():
-    qm = torus_quotient((5,))
+    # the dimer-only quotient is reducible: its components step jointly,
+    # one history entry per step
+    qm = torus_quotient((6,), dimer_only=True)
+    matrix = qm.to_dense()
+    assert connected_components(matrix, directed=False)[0] > 1
     history = []
-    bracket, _ = power_method(qm.to_dense(), qm.weight_vector(), history=history)
-    assert history
-    by_component = {}
-    for component, iteration, lower, upper, rayleigh in history:
+    bracket, _ = power_method(matrix, qm.weight_vector(), history=history)
+    assert [step[0] for step in history] == list(range(1, bracket.iterations + 1))
+    for _, lower, upper, rayleigh in history:
         slack = 1e-11 * max(1.0, abs(rayleigh))
         assert lower - slack <= rayleigh <= upper + slack
-        prev = by_component.get(component)
-        if prev is not None:
-            assert iteration == prev[0] + 1
-            assert lower >= prev[1]
-            assert upper <= prev[2]
-        by_component[component] = (iteration, lower, upper)
-    final = by_component[max(by_component)]
-    assert final[1] == bracket.lower
-    assert final[2] == bracket.upper
+    for before, after in zip(history, history[1:]):
+        assert after[1] >= before[1]
+        assert after[2] <= before[2]
+    assert history[-1][1:] == (bracket.lower, bracket.upper, bracket.rayleigh)
 
 
 def test_reducible_matrix_takes_componentwise_maximum():
@@ -123,7 +122,9 @@ def test_operator_sectors_bracket_a_reducible_operator():
     assert bracket.lower <= 3.0 <= bracket.upper
     assert bracket.width <= 1e-12
     assert bracket.rayleigh == 3.0
-    assert (vector > 0).all()
+    # the returned vector lives on the dominant sector
+    assert vector[2] > 0
+    assert vector[0] == vector[1] == 0.0
     for bad in ([0, 0, 2], [1, 1, 1], [0, 1]):
         with pytest.raises(ValueError, match="sector labels"):
             operator_power_method(matrix.__matmul__, 3, sectors=np.array(bad, dtype=np.int8))
@@ -214,27 +215,34 @@ def test_non_finite_product_raises(bad, step):
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_matrix_entry_raises(bad):
-    matrix = PATH_GRAPH.copy()
-    matrix[1, 1] = bad
-    with pytest.raises(ArithmeticError, match="non-finite"):
-        power_method(matrix)
-    with pytest.raises(ArithmeticError, match="non-finite"):
-        power_method(matrix, weights=np.ones(3))
+    # on the diagonal, and on the only edge between points 1 and 2
+    for i, j in ((1, 1), (1, 2)):
+        matrix = PATH_GRAPH.copy()
+        matrix[i, j] = matrix[j, i] = bad
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            power_method(matrix)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            power_method(matrix, weights=np.ones(3))
 
 
 def test_unit_weights_match_the_operator_path_bitwise():
     # the operator path skips the multiplications by unit weights; they
-    # are exact, so explicit ones give the same bits
-    shape = LatticeShape((3, 2))
-    table = CoverTable(shape, SectionKind.TORUS)
-    matrix = np.array([[table.entry(s, t) for t in range(table.full + 1)]
-                       for s in range(table.full + 1)], dtype=np.float64)
-    history_matrix, history_operator = [], []
-    want, want_vec = power_method(matrix, weights=np.ones(len(matrix)),
-                                  history=history_matrix)
-    got, got_vec = operator_power_method(matrix.__matmul__, len(matrix),
-                                         history=history_operator)
-    assert want.iterations > 1
-    assert got == want
-    assert np.array_equal(got_vec, want_vec)
-    assert history_operator == history_matrix
+    # are exact, so explicit ones give the same bits.  The dimer-only
+    # matrix is reducible, and the operator path given its component
+    # labels as sectors takes the same joint steps
+    for dimer_only in (False, True):
+        table = CoverTable(LatticeShape((3, 2)), SectionKind.TORUS, dimer_only)
+        matrix = np.array([[table.entry(s, t) for t in range(table.full + 1)]
+                           for s in range(table.full + 1)], dtype=np.float64)
+        n_comp, labels = connected_components(matrix, directed=False)
+        assert (n_comp > 1) == dimer_only
+        history_matrix, history_operator = [], []
+        want, want_vec = power_method(matrix, weights=np.ones(len(matrix)),
+                                      history=history_matrix)
+        got, got_vec = operator_power_method(matrix.__matmul__, len(matrix),
+                                             history=history_operator,
+                                             sectors=labels if dimer_only else None)
+        assert want.iterations > 1
+        assert got == want
+        assert np.array_equal(got_vec, want_vec)
+        assert history_operator == history_matrix
