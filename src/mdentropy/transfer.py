@@ -13,17 +13,20 @@ or the counts, from the section's pieces alone (a `SectionPieces`):
 copy z of x, after which z(U) sums c(U - T) x(T) over T inside U, and the
 product at S is z(full - U), so the result is z reversed along the mask
 axis.  That costs O(n * deg * 2^n) additions of nonnegative numbers, in
-the dtype of x: float64 for spectral brackets, Python integers (object
-dtype) for `matvec_exact` and boundary quadratic forms.  A trailing batch
-axis, x of shape (2^n, B), applies the matrix to B columns in one sweep.
+the dtype of x: float64 for spectral brackets, int64 for exact traces and
+boundary quadratic forms, Python integers (object dtype) for the
+reference `matvec_exact`.  A trailing batch axis, x of shape (2^n, B),
+applies the matrix to B columns in one sweep.
 
-`full_trace_power` sweeps its basis columns (every mask, or one
-representative per orbit) together, in blocks of at most 2^20 entries,
-and sums the weighted diagonal in Python integers.  It computes in int64
-when R^q < 2^63, where R, the sum of all cover counts, is the row sum of
-row 0 and the largest row sum: every entry of M^k X on 0/1 columns X is
-at most R^k, and the sweep's partial sums never exceed the entries they
-add up to.  Otherwise it computes in Python integers.
+`full_trace_power` and `quadratic_form_count` both sum weighted diagonal
+entries of M^q, the form being (M^e)[0, 0].  `_diagonal_power_sum` sweeps
+the basis columns as int64 residues modulo a few pairwise coprime moduli
+and rebuilds the sum by Chinese remaindering.  R, the sum of all counts,
+is row 0's sum and the largest row sum, so entries of M^k X on 0/1
+columns X are at most R^k, and partial sums never exceed the entries they
+add up to.  So while R^q < 2^63 the sweep runs in plain int64, and else
+on residues below moduli p with (p - 1) R < 2^63, taken until their
+product exceeds the weights' total times R^q.
 
 Folding columns over the mask orbits of a group that preserves the matrix
 gives the quotient
@@ -51,6 +54,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from math import gcd
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -190,14 +194,68 @@ def matvec_exact(table: CoverTable, x: list[int]) -> list[int]:
     return sweep_apply(table, np.array(x, dtype=object)).tolist()
 
 
+def residue_moduli(bound: int, row_sum: int) -> list[int]:
+    """Pairwise coprime moduli whose product exceeds `bound`; empty below 2^63.
+
+    Each p lies in [2^(b-1), 2^b), b = 63 - bits(row_sum): it adds at least
+    b - 1 bits and (p - 1) * row_sum < 2^63.  Candidates descend, kept when
+    coprime to those before; CapacityError if too few fit (row_sum >= 2^61).
+    """
+    if exact_dtype(bound) is np.int64:
+        return []
+    b = 63 - row_sum.bit_length()
+    moduli, product = [], 1
+    for p in range((1 << b) - 1, (1 << b - 1) - 1, -1) if b >= 2 else ():
+        if gcd(p, product) == 1:
+            moduli.append(p)
+            product *= p
+            if product > bound:
+                return moduli
+    raise CapacityError(f"no int64 moduli cover {bound.bit_length()} bits at row sum {row_sum}")
+
+
+def _diagonal_power_sum(table: CoverTable, q: int, reps: list[int], weights: list[int]) -> int:
+    """Exact sum of w * (M^q)[r, r] over the masks r of `reps`, weights w.
+
+    Predicts 24 B per entry of a block (at most 2^20 entries, counting k
+    residues per column, k found from bit lengths without computing R^q):
+    the block, the sweep's copy and a half-size temporary of piece updates.
+    """
+    n = table.shape.n
+    row_sum = sum(table.counts)
+    # entries stay in plain int64 while R^q < 2^63; else see residue_moduli
+    bits = q * row_sum.bit_length()
+    step = max(62 - row_sum.bit_length(), 1)
+    k = 1 if bits <= 63 else -(-(bits + sum(weights).bit_length()) // step)
+    width = max(1, (_BLOCK_ENTRIES >> n) // k)
+    check_memory((24 * k * min(width, len(reps))) << n,
+                 f"M^{q} over {n} points on {k} int64 residues")
+    moduli = residue_moduli(sum(weights) * row_sum ** q, row_sum) if row_sum ** q >> 63 else []
+    sums = np.zeros(len(moduli) or 1, dtype=object)
+    for start in range(0, len(reps), width):
+        rows = reps[start:start + width]
+        cols = np.arange(len(rows))
+        z = np.zeros((1 << n, len(rows), len(sums)), dtype=np.int64)
+        z[rows, cols] = 1
+        for _ in range(q):
+            z = sweep_apply(table, z.reshape(1 << n, -1)).reshape(z.shape)
+            if moduli:
+                np.remainder(z, moduli, out=z)
+        sums += np.array(weights[start:start + width], dtype=object) @ z[rows, cols].astype(object)
+    total, product = 0, 1
+    for p, residue in zip(moduli, sums):
+        total += product * ((residue - total) * pow(product, -1, p) % p)
+        product *= p
+    return total if moduli else sums[0]
+
+
 def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None) -> int:
     """Exact trace of the q-th power of the full transfer matrix.
 
     With an orbit space supplied, only one diagonal entry per orbit is
     computed and weighted by the orbit size; the diagonal of a power is
     constant on orbits because the group conjugates the matrix to itself.
-    The basis vectors of the diagonal entries are swept together, in
-    blocks of at most 2^20 entries; `TRACE_TIME_MAX_POINTS` bounds its time.
+    `TRACE_TIME_MAX_POINTS` bounds the time of `_diagonal_power_sum`.
     """
     n = table.shape.n
     if n > TRACE_TIME_MAX_POINTS:
@@ -209,24 +267,8 @@ def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None
     if q == 0:
         return 1 << n
     if orbits is not None:
-        reps, weights = list(orbits.reps), list(orbits.sizes)
-    else:
-        reps, weights = list(range(1 << n)), [1] * (1 << n)
-    # entries of M^k X on basis columns X are at most R^k, with R the
-    # largest row sum of M, which is row 0: the sum of all cover counts
-    dtype = exact_dtype(sum(table.counts) ** q)
-    width = max(1, _BLOCK_ENTRIES >> n)
-    total = 0
-    for start in range(0, len(reps), width):
-        rows = reps[start:start + width]
-        cols = np.arange(len(rows))
-        z = np.zeros((1 << n, len(rows)), dtype=dtype)
-        z[rows, cols] = 1
-        for _ in range(q):
-            z = sweep_apply(table, z)
-        diagonal = z[rows, cols].tolist()
-        total += sum(w * d for w, d in zip(weights[start:start + width], diagonal))
-    return total
+        return _diagonal_power_sum(table, q, list(orbits.reps), list(orbits.sizes))
+    return _diagonal_power_sum(table, q, list(range(1 << n)), [1] * (1 << n))
 
 
 def quadratic_form_count(table: CoverTable, exponent: int) -> int:
@@ -235,24 +277,13 @@ def quadratic_form_count(table: CoverTable, exponent: int) -> int:
     The boundary vector closes both ends of a stack of `exponent` layers
     with no dimer leaving through the stacking direction, so the result
     counts covers of the section extended by a tiled layer direction.
-
-    Predicts (64 + 4 s) * 2^n bytes, s the bytes of an int as large as
-    R^(exponent-1), R the sum of all counts, which bounds every entry: some
-    six object vectors of 2^n and up to four ints per mask alive in a
-    sweep.  s is found from bit lengths, 4 B per 30 bits over a 28 B int,
-    without computing the power.
+    As x = M e_0 and M is symmetric, that is (M^exponent)[0, 0].  Predicts
+    24 k * 2^n bytes, R the sum of all counts and B = exponent * bits(R):
+    k = 1 if B <= 63, else k = ceil((B + 1) / (62 - bits(R))) residues.
     """
     if exponent < 2:
         raise ValueError("quadratic form needs at least two layers")
-    bits = (exponent - 1) * sum(table.counts).bit_length()
-    size = 28 + 4 * (bits // 30)
-    check_memory((64 + 4 * size) << table.shape.n,
-                 f"a {exponent}-layer form over {table.shape.n} points")
-    x = table.empty_column()
-    v = x
-    for _ in range(exponent - 2):
-        v = matvec_exact(table, v)
-    return sum(a * b for a, b in zip(x, v))
+    return _diagonal_power_sum(table, exponent, [0], [1])
 
 
 def full_matrix_sparse(table: CoverTable) -> sparse.csr_matrix:

@@ -89,6 +89,11 @@ LAYERS = {
     "quotient-bracket-dimer-4x4": lambda: (partial(quotient_bracket, dimer_only=True), (4, 4)),
     "form-protruding-12": lambda: (transfer.quadratic_form_count,
                                    table((12,), SectionKind.PROTRUDING), 8),
+    # four int64 residues per entry
+    "form-protruding-7x2": lambda: (transfer.quadratic_form_count,
+                                    table((7, 2), SectionKind.PROTRUDING), 5),
+    # three residues per column, 78 orbit columns
+    "trace-residues-10": lambda: (transfer.full_trace_power, table((10,)), 8, orbits((10,))),
 }
 
 

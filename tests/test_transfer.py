@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from mdentropy.transfer import (
     full_trace_power,
     matvec_exact,
     quadratic_form_count,
+    residue_moduli,
     sweep_apply,
     weighted_symmetry_ok,
 )
@@ -242,7 +245,7 @@ def test_single_layer_trace_over_several_blocks(m):
 @pytest.mark.parametrize("q", [16, 40])
 def test_trace_on_both_sides_of_the_int64_bound(q):
     # the row sums of the 3-ring matrix are at most 14 and 14^16 < 2^63, so
-    # q = 16 runs in int64; q = 40 runs in Python integers and its trace
+    # q = 16 runs in int64; q = 40 runs on int64 residues and its trace
     # itself passes 2^63
     table = torus_table((3,))
     assert (sum(table.counts) ** q >= 1 << 63) == (q == 40)
@@ -255,6 +258,63 @@ def test_trace_on_both_sides_of_the_int64_bound(q):
         want += x[rep]
     assert (want >= 1 << 63) == (q == 40)
     assert full_trace_power(table, q) == want
+
+
+def _form_by_matvec(table, layers):
+    x = table.empty_column()
+    v = x
+    for _ in range(layers - 2):
+        v = matvec_exact(table, v)
+    return sum(a * b for a, b in zip(x, v))
+
+
+@pytest.mark.parametrize("dims,layers,want", [
+    ((7, 2), 5, 1035268951526929389572282016087316),
+    ((4, 3), 6, 1061434302051662227273233718914953),
+])
+def test_multi_modulus_forms_match_the_object_reference(dims, layers, want):
+    # x^T M^(e-2) x on Python integers against (M^e)[0, 0] on four residues
+    table = CoverTable(LatticeShape(dims), SectionKind.PROTRUDING)
+    row_sum = sum(table.counts)
+    assert len(residue_moduli(row_sum ** layers, row_sum)) == 4
+    assert quadratic_form_count(table, layers) == _form_by_matvec(table, layers) == want
+
+
+def test_multi_modulus_orbit_weighted_trace_matches_the_object_reference():
+    shape = LatticeShape((3, 2))
+    table = CoverTable(shape, SectionKind.TORUS)
+    orbits = compute_orbits(generate_motion_group(shape), shape.n)
+    q, row_sum = 10, sum(table.counts)
+    assert row_sum ** q >= 1 << 63
+    assert len(residue_moduli((table.full + 1) * row_sum ** q, row_sum)) >= 2
+    want = 0
+    for rep in range(table.full + 1):
+        x = [0] * (table.full + 1)
+        x[rep] = 1
+        for _ in range(q):
+            x = matvec_exact(table, x)
+        want += x[rep]
+    assert want >= 1 << 63
+    assert full_trace_power(table, q, orbits) == full_trace_power(table, q) == want
+
+
+@pytest.mark.parametrize("row_sum", [1, 14, 6726, (1 << 40) + 7])
+def test_residue_moduli_cover_the_bound_in_int64(row_sum):
+    assert residue_moduli((1 << 63) - 1, row_sum) == []
+    for bound in (1 << 63, 3**200):
+        moduli = residue_moduli(bound, row_sum)
+        assert prod(moduli) > bound
+        assert all((p - 1) * row_sum < 1 << 63 for p in moduli)
+        assert all(gcd(p, r) == 1 for p, r in combinations(moduli, 2))
+
+
+def test_residue_moduli_refuse_rows_too_large_for_int64():
+    with pytest.raises(CapacityError):
+        residue_moduli(1 << 63, 1 << 62)
+    # moduli in [64, 128) cover 2^63 but not 10^4 bits
+    assert prod(residue_moduli(1 << 63, 1 << 55)) > 1 << 63
+    with pytest.raises(CapacityError):
+        residue_moduli(1 << 10_000, 1 << 55)
 
 
 def test_zeroth_power_trace_counts_states():
