@@ -37,10 +37,11 @@ All logarithms are natural and 0 log 0 = 0 throughout.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, wraps
+from functools import wraps
 from math import comb, factorial, prod
 from typing import NamedTuple
 
@@ -50,7 +51,7 @@ from .lattice import LatticeShape, check_memory
 from .matchcount import CoverTable, SectionKind, SectionPieces
 from .spectral import SpectralBracket, operator_power_method
 from .symmetry import burnside_orbit_count, compute_orbits, generate_motion_group
-from .transfer import QuotientMatrix, build_quotient, sweep_apply
+from .transfer import QuotientMatrix, SweepOperator, build_quotient
 
 
 @dataclass
@@ -88,10 +89,12 @@ def check_section(dims) -> LatticeShape:
 
     Returns the section's shape, checked first against the 64-point mask
     limit.  One prediction, 60 B per mask plus 1 MiB, covers both kinds:
-    four float64 vectors of 2^n (iterate, image, scratch, sweep copy),
-    plus, for dimer-only sectors, a gather buffer, the int64 sort order,
-    int8 labels, and the first product of an odd section's M^2 step.
-    Traced peaks per mask: 32-34 B, 49-51 B dimer-only, 57-58 B odd.
+    three float64 vectors of 2^n (iterate, scratch, and the sweep
+    operator's buffer, which holds the image) and the half-size products
+    of doubled edges, plus, for dimer-only sectors, a gather buffer, the
+    int64 sort order, int8 labels and their intp copy in each spread of
+    the sector norms, and the second operator of an odd section's M^2
+    step.  Traced peaks per mask: 24-27 B, 49-50 B dimer-only, 57-58 B odd.
     """
     shape = _section_shape(_canonical(dims))
     check_memory((60 << shape.n) + (1 << 20), f"the sweep bracket of section {shape.dims}")
@@ -109,20 +112,26 @@ def _cached_by_section(fn):
     """Cache `fn` on canonical dims, so every axis order of a section shares an entry.
 
     Transposing axes is a relabeling automorphism of the torus, so
-    spectrum and orbit structure agree.  The returned function has the
-    `cache_info` and `cache_clear` of an unbounded `lru_cache`.
+    spectrum and orbit structure agree.  The key binds the arguments to
+    `fn`'s signature with its defaults, so a value passed by position, by
+    keyword or left to its default is one key.  The returned function has
+    the `cache_info` and `cache_clear` of an unbounded `lru_cache`.
     """
+    signature = inspect.signature(fn)
     entries = {}
     stats = [0, 0]
 
     @wraps(fn)
-    def lookup(dims, *args, **kwargs):
-        k = _canonical(dims), args, tuple(sorted(kwargs.items()))
+    def lookup(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        dims, *rest = bound.arguments.values()
+        k = _canonical(dims), *rest
         if k in entries:
             stats[0] += 1
         else:
             stats[1] += 1
-            entries[k] = fn(k[0], *args, **kwargs)
+            entries[k] = fn(*k)
         return entries[k]
 
     def cache_clear():
@@ -199,12 +208,15 @@ def transfer_log_radius(dims: tuple[int, ...], dimer_only: bool = False,
         return _exact_log_bracket(points * math.log(2.0), shift)
     shape = check_section(dims)
     pieces = SectionPieces(shape, SectionKind.TORUS, dimer_only)
-    apply, sectors, power = partial(sweep_apply, pieces), None, 1
+    size = pieces.full + 1
+    apply, sectors, power = SweepOperator(pieces, (size,), np.float64), None, 1
     if dimer_only:
         sectors = dimer_sectors(shape)
         if shape.n % 2:
-            apply, power = (lambda x: sweep_apply(pieces, sweep_apply(pieces, x))), 2
-    bracket, _ = operator_power_method(apply, pieces.full + 1, shift=shift, tol=tol,
+            # M^2: the second operator reads the first one's buffer, so it needs its own
+            first, second = apply, SweepOperator(pieces, (size,), np.float64)
+            apply, power = (lambda x: second(first(x))), 2
+    bracket, _ = operator_power_method(apply, size, shift=shift, tol=tol,
                                        max_iter=max_iter, sectors=sectors)
 
     def safe_log(x: float) -> float:

@@ -17,15 +17,19 @@ afterwards z(U) sums c(U - T) * z0(T) over the subsets T of U, with c the
 cover counts.  Started from the indicator of the empty mask, that is the
 table itself, so the whole table over 2^n subsets is filled by one piece
 per site and edge, O(n * deg * 2^n) vectorized additions.  A trailing
-batch axis, z of shape (2^n, B), runs B such sums at once; the transfer
-sweep of `transfer.sweep_apply` is this kernel followed by a reversal.
+batch axis, z of shape (2^n, B), runs B such sums at once.
+
+`piece_views` builds the (held, freed, factor) views of every piece on
+one array and `run_updates` applies them in order: `place_pieces` adds
+factor * freed into held, and `transfer.SweepOperator` builds the views
+once on its own buffer and adds factor * held into freed on every call.
 
 Each update works on a strided view whose last axis is a contiguous run
 of B << v elements.  numpy's ufunc loop copies a strided operand through
 its buffer when the run is shorter than about half the buffer size, 8192
 elements by default, so at n = 17 a float64 update at bits 3-11 (runs of
 8 to 2048) took 0.09-0.28 ms against 0.03 ms at bits 12 and up.  The
-piece loop therefore runs with the buffer size set to `_UPDATE_BUFSIZE`
+update loop therefore runs with the buffer size set to `_UPDATE_BUFSIZE`
 = 512 elements: runs of 256 and more become one strided add each, and
 shorter runs are buffered in smaller blocks.  Per update at n = 17,
 default -> 512: bit 4 0.20 -> 0.16 ms, bit 6 0.17 -> 0.11, bit 8 0.12 ->
@@ -142,31 +146,50 @@ def place_pieces(z: np.ndarray, point_weights, edges) -> None:
     arithmetic.  `point_weights[v]` weighs the piece covering v alone and
     `edges` holds (v, w, multiplicity) with v < w.
     """
+    run_updates(piece_views(z, point_weights, edges))
+
+
+def piece_views(z: np.ndarray, point_weights, edges) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """(held, freed, factor) views of z for every piece, in piece order.
+
+    `held` views the entries whose masks contain the piece and `freed` the
+    same masks with the piece removed; `place_pieces` adds factor * freed
+    into held.  A large update with a short contiguous run is split into
+    one view pair per column; see the module notes.
+    """
     if not z.flags.c_contiguous:
         raise ValueError("pieces are placed through reshaped views of a C-contiguous array")
     b = z.size // z.shape[0]
+    views = []
+    for v, weight in enumerate(point_weights):
+        if weight:
+            axis = z.reshape(-1, 2, b << v)
+            views += _by_columns(axis[:, 1], axis[:, 0], weight)
+    for v, w, mult in edges:
+        pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
+        views += _by_columns(pair[:, 1, :, 1], pair[:, 0, :, 0], mult)
+    return views
+
+
+def _by_columns(held: np.ndarray, freed: np.ndarray, factor: int):
+    run = held.shape[-1]
+    if run <= _COLUMN_RUN and held.size >= _COLUMN_MIN_SIZE:
+        return [(held[..., j], freed[..., j], factor) for j in range(run)]
+    return [(held, freed, factor)]
+
+
+def run_updates(updates) -> None:
+    """target += factor * source for each (target, source, factor), in order."""
     # the buffer size belongs to the errstate context, which restores the
     # caller's on exit (numpy >= 2.0); see the module notes
     with np.errstate():
         np.setbufsize(_UPDATE_BUFSIZE)
-        for v, weight in enumerate(point_weights):
-            if weight:
-                axis = z.reshape(-1, 2, b << v)
-                _add_scaled(axis[:, 1], axis[:, 0], weight)
-        for v, w, mult in edges:
-            pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
-            _add_scaled(pair[:, 1, :, 1], pair[:, 0, :, 0], mult)
+        for target, source, factor in updates:
+            _add_scaled(target, source, factor)
 
 
 def _add_scaled(target: np.ndarray, source: np.ndarray, factor: int) -> None:
-    """target += factor * source, by columns when a large update has a short last axis."""
-    run = target.shape[-1]
-    if run <= _COLUMN_RUN and target.size >= _COLUMN_MIN_SIZE:
-        pairs = [(target[..., j], source[..., j]) for j in range(run)]
-    else:
-        pairs = [(target, source)]
-    for column, values in pairs:
-        column += values if factor == 1 else factor * values
+    target += source if factor == 1 else factor * source
 
 
 class SectionPieces:

@@ -25,11 +25,14 @@ counts joint steps; the vector returned is zero outside the block of
 the largest upper end.
 
 A step allocates nothing of the operator's size itself: it works through
-numpy `out=` arguments in three preallocated vectors, the iterate x, its
-image y and one scratch vector for the ratios y / x and the inner-product
-terms, so the product the operator returns is the only other such vector
-alive; sectors add one buffer, into which `take` gathers each sector's
-entries, in stable-sort order, for `reduceat`.  Unit weights, on the
+numpy `out=` arguments in three vectors, the iterate x and one scratch
+vector for the shift term, the ratios y / x and the inner-product terms,
+both preallocated, and the image y, which is the array `apply` returns.
+The step adds the shift into y in place, so `apply` may return its own
+buffer (the site sweep does) or a fresh product (a matrix does), as long
+as it is not x; the next call may overwrite it.  Sectors add one buffer,
+into which `take` gathers each sector's entries, in stable-sort order,
+for `reduceat`.  Unit weights, on the
 operator path and for unweighted matrices, skip the multiplications by
 w; those would be exact, so no bit moves.  A weighted inner product
 multiplies w * a * b in that order, as the plain expression does, since
@@ -94,7 +97,6 @@ def _iterate(apply, weights, size, shift, tol, max_iter, history, sectors=None):
             np.take(values, order, out=gathered, mode="clip")
             return [ufunc.reduceat(gathered, starts) for ufunc in ufuncs]
     x = np.ones(size)
-    y = np.empty(size)
     scratch = np.empty(size)
 
     def inner(a, b):
@@ -116,8 +118,9 @@ def _iterate(apply, weights, size, shift, tol, max_iter, history, sectors=None):
     lower = upper = None
     while iterations < max_iter:
         iterations += 1
-        np.multiply(x, shift, out=y)
-        np.add(apply(x), y, out=y)
+        y = apply(x)
+        np.multiply(x, shift, out=scratch)
+        np.add(y, scratch, out=y)
         np.divide(y, x, out=scratch)
         low, high = (r.tolist() for r in per_sector(scratch, np.minimum, np.maximum))
         # x > 0, so an inf or NaN anywhere in y reaches a ratio extreme
@@ -192,7 +195,8 @@ def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-
     """Bracket the spectral radius of a symmetric nonnegative operator.
 
     `apply` maps a float64 vector of length `size` to the operator's product
-    with it, for an operator never materialized as a matrix.  `sectors`,
+    with it, for an operator never materialized as a matrix; the product
+    may be a buffer of `apply`'s own, which the step overwrites.  `sectors`,
     int labels 0 to k - 1 over the vector, name the invariant blocks of a
     block-diagonal operator; ratio extremes, Rayleigh quotients and norms
     are then taken per sector.  Without them the caller guarantees

@@ -7,16 +7,23 @@ the subset convolution
 
     (M x)(S) = sum over T inside the complement U of S of c(U - T) x(T)
 
-with c the cover counts.  `sweep_apply` evaluates it without the matrix
-or the counts, from the section's pieces alone (a `SectionPieces`):
-`matchcount.place_pieces` places every piece of the section once on a
-copy z of x, after which z(U) sums c(U - T) x(T) over T inside U, and the
-product at S is z(full - U), so the result is z reversed along the mask
-axis.  That costs O(n * deg * 2^n) additions of nonnegative numbers, in
-the dtype of x: float64 for spectral brackets, int64 for exact traces and
-boundary quadratic forms, Python integers (object dtype) for the
-reference `matvec_exact`.  A trailing batch axis, x of shape (2^n, B),
-applies the matrix to B columns in one sweep.
+with c the cover counts.  A `SweepOperator` evaluates it without the
+matrix or the counts, from the section's pieces alone (a
+`SectionPieces`).  Placed once each on a copy z of x, as
+`matchcount.place_pieces` places them, the pieces leave z(U) summing
+c(U - T) x(T) over T inside U, so the product at S is z(full - S).  The
+operator writes that reversal directly: it copies x reversed into its
+buffer u and places every piece P downward, adding factor * u(S | P)
+into u(S) for each S without P.  Then u(S) = z(full - S) after every
+piece, each entry receiving the same additions in the same order, so u
+ends holding M x in natural order, with the bits of the upward
+placement.  The buffer and the piece views are made once per operator,
+for brackets and traces that apply M many times; `sweep_apply` is a
+one-shot call.  A sweep costs O(n * deg * 2^n) additions of nonnegative
+numbers, in the dtype of x: float64 for spectral brackets, int64 for
+exact traces and boundary quadratic forms, Python integers (object
+dtype) for the reference `matvec_exact`.  A trailing batch axis, x of
+shape (2^n, B), applies the matrix to B columns in one sweep.
 
 `full_trace_power` and `quadratic_form_count` both sum weighted diagonal
 entries of M^q, the form being (M^e)[0, 0].  `_diagonal_power_sum` sweeps
@@ -60,7 +67,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .lattice import CapacityError, check_memory
-from .matchcount import CoverTable, SectionPieces, exact_dtype, place_pieces
+from .matchcount import CoverTable, SectionPieces, exact_dtype, piece_views, run_updates
 from .symmetry import OrbitSpace
 
 if TYPE_CHECKING:
@@ -174,19 +181,40 @@ def weighted_symmetry_ok(qm: QuotientMatrix) -> bool:
     return True
 
 
+class SweepOperator:
+    """The full transfer matrix of a section, applied to arrays of one shape and dtype.
+
+    `shape` is (2^n,) or, for a batch of B vectors, (2^n, B).  A call
+    returns the operator's buffer holding M x (see the module notes),
+    valid until the next call.  Only the pieces of `pieces` are read, so
+    a `SectionPieces` serves as well as a `CoverTable`.
+    """
+
+    def __init__(self, pieces: SectionPieces, shape: tuple[int, ...], dtype):
+        self.shape = tuple(shape)
+        if len(self.shape) not in (1, 2) or self.shape[0] != pieces.full + 1:
+            raise ValueError(f"array of shape {self.shape} does not match {pieces.full + 1} masks")
+        self.buffer = np.empty(self.shape, dtype=dtype)
+        self._updates = [(freed, held, factor) for held, freed, factor
+                         in piece_views(self.buffer, pieces.point_weights, pieces.adjacency.edges)]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape != self.shape:
+            raise ValueError(f"array of shape {x.shape} does not match the operator's {self.shape}")
+        np.copyto(self.buffer, x[::-1])
+        run_updates(self._updates)
+        return self.buffer
+
+
 def sweep_apply(table: SectionPieces, x: np.ndarray) -> np.ndarray:
-    """Full transfer matrix of `table` times x, one in-place update per piece.
+    """Full transfer matrix of `table` times x, in a new array.
 
     `x` has shape (2^n,) or, for a batch of B vectors, (2^n, B); the result
     has its shape and dtype, so float64 input gives a float64 product and
-    object input an exact integer one.  Only the pieces of `table` are
-    read, so a `SectionPieces` serves as well as a `CoverTable`.
+    object input an exact integer one.  A one-shot `SweepOperator`.
     """
-    z = np.array(x, order="C")
-    if z.ndim not in (1, 2) or z.shape[0] != table.full + 1:
-        raise ValueError(f"array of shape {z.shape} does not match {table.full + 1} masks")
-    place_pieces(z, table.point_weights, table.adjacency.edges)
-    return z[::-1]
+    x = np.asarray(x)
+    return SweepOperator(table, x.shape, x.dtype)(x)
 
 
 def matvec_exact(table: CoverTable, x: list[int]) -> list[int]:
@@ -232,13 +260,17 @@ def _diagonal_power_sum(table: CoverTable, q: int, reps: list[int], weights: lis
                  f"M^{q} over {n} points on {k} int64 residues")
     moduli = residue_moduli(sum(weights) * row_sum ** q, row_sum) if row_sum ** q >> 63 else []
     sums = np.zeros(len(moduli) or 1, dtype=object)
+    sweep = None
     for start in range(0, len(reps), width):
         rows = reps[start:start + width]
         cols = np.arange(len(rows))
         z = np.zeros((1 << n, len(rows), len(sums)), dtype=np.int64)
         z[rows, cols] = 1
+        if sweep is None or sweep.shape != (1 << n, z.size >> n):
+            sweep = None  # frees the last block's buffer before the next is allocated
+            sweep = SweepOperator(table, (1 << n, z.size >> n), np.int64)
         for _ in range(q):
-            z = sweep_apply(table, z.reshape(1 << n, -1)).reshape(z.shape)
+            z = sweep(z.reshape(sweep.shape)).reshape(z.shape)
             if moduli:
                 np.remainder(z, moduli, out=z)
         sums += np.array(weights[start:start + width], dtype=object) @ z[rows, cols].astype(object)

@@ -73,6 +73,25 @@ def test_swapped_dims_share_one_cache_entry(cached):
     assert cached.cache_info().currsize == 0
 
 
+def test_cache_keys_bind_defaults_and_keywords():
+    # every call form of one section, and the (12,) lookups of h2_bounds, share one entry
+    transfer_log_radius.cache_clear()
+    try:
+        transfer_log_radius((12,))
+        transfer_log_radius((12,), False)
+        transfer_log_radius((12,), dimer_only=False)
+        transfer_log_radius(dims=(12,), tol=1e-12)
+        h2_bounds(6, 1, 6)
+        info = transfer_log_radius.cache_info()
+        # (12,) and (13,), h2_bounds' other two sections
+        assert (info.misses, info.hits, info.currsize) == (2, 5, 2)
+        transfer_log_radius((12,), True)
+        transfer_log_radius((12,), tol=1e-10)
+        assert transfer_log_radius.cache_info().misses == 4
+    finally:
+        transfer_log_radius.cache_clear()
+
+
 def test_section_orbit_counts():
     assert section_orbit_count((4,)) == 6
     assert section_orbit_count((8,)) == 30
@@ -113,6 +132,23 @@ def test_twenty_point_monomer_dimer_brackets(dims, log_radius, iterations):
     assert bracket.iterations == iterations
     assert bracket.lower <= log_radius <= bracket.upper
     assert bracket.upper - bracket.lower <= 1e-12
+
+
+# every entry of the sweep sees a fixed sequence of additions, so the
+# brackets are pinned to the last bit
+@pytest.mark.parametrize("dims,dimer_only,lower,upper,rayleigh,iterations", [
+    ((16,), False, 10.604783565517751, 10.604783565518659, 10.604783565518543, 17),
+    ((17,), False, 11.267582538124847, 11.267582538125811, 11.267582538125689, 17),
+    ((4, 4), False, 12.579237522614907, 12.579237522615461, 12.57923752261495, 14),
+    # edges of multiplicity 2
+    ((8, 2), False, 12.73331085128287, 12.733310851283044, 12.733310851282884, 14),
+    # odd, dimer-only: steps of M^2 through two operators
+    ((5, 3), True, 6.635849119910925, 6.635849119910947, 6.635849119910935, 11),
+], ids=["16", "17", "4x4", "8x2", "dimer-5x3"])
+def test_pinned_brackets(dims, dimer_only, lower, upper, rayleigh, iterations):
+    bracket = transfer_log_radius(dims, dimer_only)
+    got = (bracket.lower, bracket.upper, bracket.rayleigh, bracket.iterations)
+    assert repr(got) == repr((lower, upper, rayleigh, iterations))
 
 
 def test_eighteen_point_dimer_only_bracket():

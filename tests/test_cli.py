@@ -24,7 +24,7 @@ from mdentropy.cli import (
     main,
 )
 from mdentropy.symmetry import generate_motion_group
-from mdentropy.transfer import sweep_apply
+from mdentropy.transfer import SweepOperator
 
 
 def run_cli(capsys, *argv):
@@ -130,12 +130,17 @@ def test_beta_unconverged_exit(capsys):
 def test_numerical_breakdown_exits_cleanly(capsys, monkeypatch, argv):
     # a NaN in the sweep's product stops the bracket with ArithmeticError:
     # exit 3 as for a capped bracket, but with nothing printed
-    def poisoned(pieces, x):
-        y = sweep_apply(pieces, x)
-        y[-1] = math.nan
-        return y
+    def poisoned(pieces, shape, dtype):
+        sweep = SweepOperator(pieces, shape, dtype)
 
-    monkeypatch.setattr(mdentropy.bounds, "sweep_apply", poisoned)
+        def apply(x):
+            y = sweep(x)
+            y[-1] = math.nan
+            return y
+
+        return apply
+
+    monkeypatch.setattr(mdentropy.bounds, "SweepOperator", poisoned)
     mdentropy.bounds.transfer_log_radius.cache_clear()
     try:
         code, out, err = run_cli(capsys, *argv)

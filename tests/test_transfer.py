@@ -18,6 +18,7 @@ from mdentropy.symmetry import (
 from mdentropy.transfer import (
     TRACE_TIME_MAX_POINTS,
     QuotientMatrix,
+    SweepOperator,
     build_quotient,
     disjoint_pairs,
     full_matrix_sparse,
@@ -145,6 +146,64 @@ def test_batched_sweep_matches_column_sweeps(dims, kind, dimer_only):
         assert batched.shape == x.shape and batched.dtype == x.dtype
         for j in range(x.shape[1]):
             assert np.array_equal(batched[:, j], sweep_apply(table, x[:, j]))
+
+
+def reference_sweep(pieces, x):
+    """M x as the sweep was first written: pieces placed upward on a copy, then reversed."""
+    z = np.array(x, order="C")
+    place_pieces(z, pieces.point_weights, pieces.adjacency.edges)
+    return z[::-1]
+
+
+def random_inputs(shape, rng):
+    yield rng.random(shape)
+    yield rng.integers(0, 1000, shape)
+    yield rng.integers(0, 1000, shape).astype(object) * (1 << 64) + 1
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["vector", "batch-3"])
+@pytest.mark.parametrize("kind", [SectionKind.TORUS, SectionKind.PROTRUDING, SectionKind.MIXED],
+                         ids=lambda kind: kind.value)
+# 13 and 4 x 3 points put column pieces, short runs and long ones in one
+# sweep; 8 x 2 has edges of multiplicity 2
+@pytest.mark.parametrize("dims", [(13,), (4, 3), (8, 2)], ids=lambda dims: "x".join(map(str, dims)))
+def test_operator_calls_match_fresh_reference_sweeps(dims, kind, batch):
+    pieces = SectionPieces(LatticeShape(dims), kind)
+    shape = (pieces.full + 1,) if batch is None else (pieces.full + 1, batch)
+    rng = np.random.default_rng(sum(dims) + len(dims))
+    # three inputs of each dtype, for repeated calls on one operator
+    for inputs in zip(*(random_inputs(shape, rng) for _ in range(3))):
+        sweep = SweepOperator(pieces, shape, inputs[0].dtype)
+        for x in inputs:
+            y = sweep(x)
+            assert y is sweep.buffer and y.dtype == x.dtype
+            if x.dtype == object:
+                assert (y == reference_sweep(pieces, x)).all()
+                if batch is None:
+                    assert y.tolist() == matvec_exact(pieces, x.tolist())
+            else:
+                assert np.array_equal(y, reference_sweep(pieces, x))
+
+
+@pytest.mark.parametrize("dims", [(13,), (4, 3)], ids=lambda dims: "x".join(map(str, dims)))
+def test_chained_operators_match_the_square(dims):
+    # the M^2 step of odd dimer-only brackets: the second operator reads the first's buffer
+    pieces = SectionPieces(LatticeShape(dims), SectionKind.TORUS, dimer_only=True)
+    size = pieces.full + 1
+    first, second = (SweepOperator(pieces, (size,), np.float64) for _ in range(2))
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        x = rng.random(size)
+        want = reference_sweep(pieces, reference_sweep(pieces, x))
+        assert np.array_equal(second(first(x)), want)
+
+
+def test_operator_fed_its_own_buffer():
+    # exact traces feed each product back into the operator that made it
+    pieces = SectionPieces(LatticeShape((4, 3)), SectionKind.PROTRUDING)
+    sweep = SweepOperator(pieces, (pieces.full + 1, 2), np.int64)
+    x = np.random.default_rng(37).integers(0, 100, (pieces.full + 1, 2))
+    assert np.array_equal(sweep(sweep(x)), reference_sweep(pieces, reference_sweep(pieces, x)))
 
 
 def _torus_sections(max_points):
@@ -438,6 +497,8 @@ def test_validation_errors():
         sweep_apply(table, np.ones((7, 2)))
     with pytest.raises(ValueError):
         sweep_apply(table, np.ones((8, 2, 2)))
+    with pytest.raises(ValueError):
+        SweepOperator(table, (8,), np.float64)(np.ones((8, 1)))
     with pytest.raises(ValueError):
         place_pieces(np.ones((8, 2))[:, 0], table.point_weights, table.adjacency.edges)
     orbits = compute_orbits(generate_motion_group(LatticeShape((4,))), 4)
