@@ -1,4 +1,4 @@
-"""Rigorous monomer-dimer entropy bounds via symmetry-reduced transfer matrices."""
+"""Rigorous monomer-dimer entropy bounds from transfer operators over section subsets."""
 
 __version__ = "0.1.0"
 

@@ -18,7 +18,7 @@ log 2 per remaining point.  Composed bounds use the pessimistic bracket
 ends: upper bounds from upper ends, lower bounds from lower minus upper.
 
 Each growth rate is bracketed by iterating the full 2^n-state vector
-through the site sweep of `transfer`, with no orbits or matrix built.
+through the site sweep of `matchcount`, with no orbits or matrix built.
 A monomer-dimer operator is irreducible (M(0, T) >= 1, M(0, 0) >= 1);
 a dimer-only one is block-diagonal over the sectors of `dimer_sectors`
 and bracketed per sector, through M^2 on odd sections.  `check_section`
@@ -37,21 +37,20 @@ All logarithms are natural and 0 log 0 = 0 throughout.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
+from functools import lru_cache
 from math import comb, factorial, prod
 from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import LatticeShape, check_memory
-from .matchcount import CoverTable, SectionKind, SectionPieces
+from .matchcount import CoverTable, SectionKind, SectionPieces, SweepOperator
 from .spectral import SpectralBracket, operator_power_method
 from .symmetry import burnside_orbit_count, compute_orbits, generate_motion_group
-from .transfer import QuotientMatrix, SweepOperator, build_quotient
+from .transfer import QuotientMatrix, build_quotient
 
 
 @dataclass
@@ -101,61 +100,24 @@ def check_section(dims) -> LatticeShape:
     return shape
 
 
-class CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int | None
-    currsize: int
-
-
-def _cached_by_section(fn):
-    """Cache `fn` on canonical dims, so every axis order of a section shares an entry.
-
-    Transposing axes is a relabeling automorphism of the torus, so
-    spectrum and orbit structure agree.  The key binds the arguments to
-    `fn`'s signature with its defaults, so a value passed by position, by
-    keyword or left to its default is one key.  The returned function has
-    the `cache_info` and `cache_clear` of an unbounded `lru_cache`.
-    """
-    signature = inspect.signature(fn)
-    entries = {}
-    stats = [0, 0]
-
-    @wraps(fn)
-    def lookup(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        dims, *rest = bound.arguments.values()
-        k = _canonical(dims), *rest
-        if k in entries:
-            stats[0] += 1
-        else:
-            stats[1] += 1
-            entries[k] = fn(*k)
-        return entries[k]
-
-    def cache_clear():
-        entries.clear()
-        stats[:] = [0, 0]
-
-    lookup.cache_info = lambda: CacheInfo(stats[0], stats[1], None, len(entries))
-    lookup.cache_clear = cache_clear
-    return lookup
-
-
-@_cached_by_section
-def section_quotient(dims: tuple[int, ...], dimer_only: bool = False) -> QuotientMatrix:
+def section_quotient(dims, dimer_only: bool = False) -> QuotientMatrix:
     """Orbit-folded torus transfer matrix for a section, cached on its sorted dims.
 
-    A reference for the sweep brackets.  Its bracket with `power_method`
-    is predicted for m orbits: 24 B per quotient entry (int64, its float64
-    copy, and the CSR copy of its nonzeros from which scipy labels the
-    components: about 32 B per nonzero, and from 12 points on at most a
-    quarter of the entries are nonzero), 100 B per orbit, and 160 B per
-    mask plus 4 MiB for the table, the orbit labels and the fold.  Its 2^n
-    terms alone (m = 0) are checked first, so no group is generated for a
-    section past 22 points.
+    Transposing axes is a relabeling automorphism of the torus, so every
+    axis order of a section shares one cache entry.  A reference for the
+    sweep brackets.  Its bracket with `power_method` is predicted for m
+    orbits: 24 B per quotient entry (int64, its float64 copy, and the CSR
+    copy of its nonzeros from which scipy labels the components: about 32
+    B per nonzero, and from 12 points on at most a quarter of the entries
+    are nonzero), 100 B per orbit, and 160 B per mask plus 4 MiB for the
+    table, the orbit labels and the fold.  Its 2^n terms alone (m = 0) are
+    checked first, so no group is generated for a section past 22 points.
     """
+    return _section_quotient(_canonical(dims), dimer_only)
+
+
+@lru_cache(maxsize=None)
+def _section_quotient(dims: tuple[int, ...], dimer_only: bool) -> QuotientMatrix:
     shape = _section_shape(dims)
     what = f"the orbit quotient of section {shape.dims}"
     check_memory(_quotient_bytes(shape.n, 0), f"{what}, counting its 2^{shape.n} masks alone,")
@@ -163,6 +125,10 @@ def section_quotient(dims: tuple[int, ...], dimer_only: bool = False) -> Quotien
     check_memory(_quotient_bytes(shape.n, burnside_orbit_count(group, shape.n)), what)
     table = CoverTable(shape, SectionKind.TORUS, dimer_only)
     return build_quotient(table, compute_orbits(group, shape.n))
+
+
+section_quotient.cache_info = _section_quotient.cache_info
+section_quotient.cache_clear = _section_quotient.cache_clear
 
 
 def section_orbit_count(dims) -> int:
@@ -193,16 +159,21 @@ def _exact_log_bracket(value: float, shift: float) -> SpectralBracket:
                            iterations=0, shift=shift, converged=True)
 
 
-@_cached_by_section
-def transfer_log_radius(dims: tuple[int, ...], dimer_only: bool = False,
-                        tol: float = 1e-12, shift: float = 1.0,
-                        max_iter: int = 1_000_000) -> SpectralBracket:
+def transfer_log_radius(dims, dimer_only: bool = False, tol: float = 1e-12,
+                        shift: float = 1.0, max_iter: int = 1_000_000) -> SpectralBracket:
     """Certified bracket on the log spectral radius of a torus section.
 
-    A zero extent degenerates to the exact value log(2) * (product of the
-    nonzero extents): each remaining point contributes an independent
-    binary choice, for dimer-only sections as well.
+    Cached on the sorted dims, as `section_quotient` is.  A zero extent
+    degenerates to the exact value log(2) * (product of the nonzero
+    extents): each remaining point contributes an independent binary
+    choice, for dimer-only sections as well.
     """
+    return _log_radius(_canonical(dims), dimer_only, tol, shift, max_iter)
+
+
+@lru_cache(maxsize=None)
+def _log_radius(dims: tuple[int, ...], dimer_only: bool, tol: float, shift: float,
+                max_iter: int) -> SpectralBracket:
     if any(m == 0 for m in dims):
         points = prod(m for m in dims if m) if any(dims) else 1
         return _exact_log_bracket(points * math.log(2.0), shift)
@@ -230,6 +201,10 @@ def transfer_log_radius(dims: tuple[int, ...], dimer_only: bool = False,
         shift=bracket.shift,
         converged=bracket.converged,
     )
+
+
+transfer_log_radius.cache_info = _log_radius.cache_info
+transfer_log_radius.cache_clear = _log_radius.cache_clear
 
 
 def _section_brackets(sections, dimer_only: bool, tol: float) -> list[SpectralBracket]:

@@ -1,4 +1,4 @@
-"""Exact cover counts for every vertex subset of a cross-section.
+"""Exact cover counts for every vertex subset of a cross-section, and the transfer sweep.
 
 A cover of a subset U of section points places on each point of U either a
 monomer, half of a dimer lying on an adjacency edge inside U (counted with
@@ -8,21 +8,36 @@ monomer option.  A point covered alone (a monomer or a protruding dimer)
 carries the weight `monomer_ok + slots(v)`; an edge {v, w} carries its
 multiplicity.
 
-`place_pieces` is the one kernel that accumulates covers.  On a vector z
-indexed by subset masks it places every piece once, in place: a point
-piece at v adds weight * z(A - v) into each z(A) with v in A, an edge
-adds mult * z(A - v - w) into each z(A) holding both ends.  Each update
-reads only entries it does not write and the updates commute, so
-afterwards z(U) sums c(U - T) * z0(T) over the subsets T of U, with c the
-cover counts.  Started from the indicator of the empty mask, that is the
-table itself, so the whole table over 2^n subsets is filled by one piece
-per site and edge, O(n * deg * 2^n) vectorized additions.  A trailing
-batch axis, z of shape (2^n, B), runs B such sums at once.
+The transfer matrix M of a section has rows and columns indexed by subset
+masks; entry (S, T) counts covers of the complement of S | T and is zero
+when S and T intersect.  Its product with a vector is the subset
+convolution
 
-`piece_views` builds the (held, freed, factor) views of every piece on
-one array and `run_updates` applies them in order: `place_pieces` adds
-factor * freed into held, and `transfer.SweepOperator` builds the views
-once on its own buffer and adds factor * held into freed on every call.
+    (M x)(S) = sum over T inside the complement U of S of c(U - T) x(T)
+
+with c the cover counts.  A `SweepOperator` evaluates it from the pieces
+alone.  It copies x reversed into its buffer u, so u(S) = x(full - S), and
+places every piece P once, downward: a point piece at v adds weight *
+u(S | v) into each u(S) with v outside S, an edge adds mult * u(S | v | w)
+into each u(S) missing both ends.  Each update reads only entries it does
+not write and the updates commute, so afterwards u(S) sums c(R) * x(full -
+S - R) over the subsets R of the complement of S, which is (M x)(S): the
+product comes out in natural order after one piece per site and edge,
+O(n * deg * 2^n) vectorized additions.  A trailing batch axis, x of shape
+(2^n, B), applies M to B columns in one sweep.  The cover table is one
+such product: (M e0)(S) = entry(S, 0) = c(full - S), so `CoverTable`
+reads its counts off the image of the indicator e0 of the empty mask,
+reversed.
+
+`piece_views` builds the (target, source, factor) views of every piece on
+the operator's buffer, the target viewing the masks without the piece and
+the source the same masks with it, and `run_updates` adds factor * source
+into target for each, in order.  An operator makes its buffer and views
+once, for brackets and traces that apply M many times; `sweep_apply` is a
+one-shot call.  The dtype of x decides the arithmetic: float64 for
+spectral brackets, int64 for exact traces, boundary quadratic forms and
+tables, Python integers (object dtype) for the reference
+`transfer.matvec_exact` and for tables past int64.
 
 Each update works on a strided view whose last axis is a contiguous run
 of B << v elements.  numpy's ufunc loop copies a strided operand through
@@ -77,10 +92,8 @@ The four section kinds fix which dimers are admissible:
     mixed       first direction wraps, the remaining directions may protrude
     protruding  no wrapping, every direction may protrude
 
-The matrix entry for an ordered pair of subsets (S, T) is the cover count
-of the complement of S | T, or zero when S and T intersect.  For a 1-D
-section the mixed kind has no remaining directions, so it coincides with
-the torus kind.
+For a 1-D section the mixed kind has no remaining directions, so it
+coincides with the torus kind.
 """
 
 from __future__ import annotations
@@ -138,44 +151,33 @@ def exact_dtype(bound: int):
     return np.int64 if bound < _INT64_LIMIT else object
 
 
-def place_pieces(z: np.ndarray, point_weights, edges) -> None:
-    """Place every point piece and edge once on z, in place.
-
-    `z` is C-contiguous with leading axis of length 2^n, indexed by subset
-    masks, and an optional trailing batch axis; its dtype decides the
-    arithmetic.  `point_weights[v]` weighs the piece covering v alone and
-    `edges` holds (v, w, multiplicity) with v < w.
-    """
-    run_updates(piece_views(z, point_weights, edges))
-
-
 def piece_views(z: np.ndarray, point_weights, edges) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """(held, freed, factor) views of z for every piece, in piece order.
+    """(target, source, factor) views of z for every piece, in piece order.
 
-    `held` views the entries whose masks contain the piece and `freed` the
-    same masks with the piece removed; `place_pieces` adds factor * freed
-    into held.  A large update with a short contiguous run is split into
-    one view pair per column; see the module notes.
+    `z` has a leading axis of 2^n masks and an optional trailing batch
+    axis.  `target` views the entries whose masks miss the piece and
+    `source` the same masks with the piece added; `point_weights[v]`
+    weighs the piece covering v alone and `edges` holds (v, w,
+    multiplicity) with v < w.  A large update with a short contiguous run
+    is split into one view pair per column; see the module notes.
     """
-    if not z.flags.c_contiguous:
-        raise ValueError("pieces are placed through reshaped views of a C-contiguous array")
     b = z.size // z.shape[0]
     views = []
     for v, weight in enumerate(point_weights):
         if weight:
             axis = z.reshape(-1, 2, b << v)
-            views += _by_columns(axis[:, 1], axis[:, 0], weight)
+            views += _by_columns(axis[:, 0], axis[:, 1], weight)
     for v, w, mult in edges:
         pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
-        views += _by_columns(pair[:, 1, :, 1], pair[:, 0, :, 0], mult)
+        views += _by_columns(pair[:, 0, :, 0], pair[:, 1, :, 1], mult)
     return views
 
 
-def _by_columns(held: np.ndarray, freed: np.ndarray, factor: int):
-    run = held.shape[-1]
-    if run <= _COLUMN_RUN and held.size >= _COLUMN_MIN_SIZE:
-        return [(held[..., j], freed[..., j], factor) for j in range(run)]
-    return [(held, freed, factor)]
+def _by_columns(target: np.ndarray, source: np.ndarray, factor: int):
+    run = target.shape[-1]
+    if run <= _COLUMN_RUN and target.size >= _COLUMN_MIN_SIZE:
+        return [(target[..., j], source[..., j], factor) for j in range(run)]
+    return [(target, source, factor)]
 
 
 def run_updates(updates) -> None:
@@ -196,8 +198,8 @@ class SectionPieces:
     """The pieces from which covers of one section configuration are built.
 
     `point_weights[v]` counts the ways to cover v alone, `adjacency.edges`
-    holds the edge pieces (v, w, multiplicity); that is all `place_pieces`
-    and the transfer sweep read, so no cover count is computed here.
+    holds the edge pieces (v, w, multiplicity); that is all the sweep
+    reads, so no cover count is computed here.
     """
 
     def __init__(self, shape: LatticeShape, kind: SectionKind, dimer_only: bool = False):
@@ -217,8 +219,9 @@ class CoverTable(SectionPieces):
     """Cover counts for all 2^n subsets of one section configuration.
 
     Predicts (16 + 2 s) * 2^n bytes, s the size of an int as large as the
-    counts' bound: the fill and the list, 8 B per mask each, their ints, and
-    in object dtype a half-size `factor * values` temporary.
+    counts' bound: the sweep's buffer and the list, 8 B per mask each, their
+    ints, and in object dtype a half-size `factor * values` temporary; the
+    indicator the sweep starts from is freed before the list is made.
     """
 
     def __init__(self, shape: LatticeShape, kind: SectionKind, dimer_only: bool = False):
@@ -232,10 +235,11 @@ class CoverTable(SectionPieces):
         )
         check_memory((16 + 2 * sys.getsizeof(bound)) << self.shape.n,
                      f"a {self.shape.n}-point cover table")
-        z = np.zeros(self.full + 1, dtype=exact_dtype(bound))
-        z[0] = 1
-        place_pieces(z, self.point_weights, self.adjacency.edges)
-        return z.tolist()
+        e = np.zeros(self.full + 1, dtype=exact_dtype(bound))
+        e[0] = 1
+        image = SweepOperator(self, e.shape, e.dtype)(e)
+        del e
+        return image[::-1].tolist()
 
     def count(self, mask: int) -> int:
         """Covers of the subset given by `mask`."""
@@ -249,6 +253,37 @@ class CoverTable(SectionPieces):
             return 0
         return self.counts[self.full ^ (s | t)]
 
-    def empty_column(self) -> list[int]:
-        """Boundary vector x with x[s] = entry(s, 0), for quadratic forms."""
-        return [self.counts[self.full ^ s] for s in range(self.full + 1)]
+
+class SweepOperator:
+    """The transfer matrix of a section, applied to arrays of one shape and dtype.
+
+    `shape` is (2^n,) or, for a batch of B vectors, (2^n, B).  A call
+    returns the operator's buffer holding M x (see the module notes),
+    valid until the next call.  Only the pieces of `pieces` are read, so
+    a `SectionPieces` serves as well as a `CoverTable`.
+    """
+
+    def __init__(self, pieces: SectionPieces, shape: tuple[int, ...], dtype):
+        self.shape = tuple(shape)
+        if len(self.shape) not in (1, 2) or self.shape[0] != pieces.full + 1:
+            raise ValueError(f"array of shape {self.shape} does not match {pieces.full + 1} masks")
+        self.buffer = np.empty(self.shape, dtype=dtype)
+        self._updates = piece_views(self.buffer, pieces.point_weights, pieces.adjacency.edges)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape != self.shape:
+            raise ValueError(f"array of shape {x.shape} does not match the operator's {self.shape}")
+        np.copyto(self.buffer, x[::-1])
+        run_updates(self._updates)
+        return self.buffer
+
+
+def sweep_apply(pieces: SectionPieces, x: np.ndarray) -> np.ndarray:
+    """Transfer matrix of `pieces` times x, in a new array.
+
+    `x` has shape (2^n,) or, for a batch of B vectors, (2^n, B); the result
+    has its shape and dtype, so float64 input gives a float64 product and
+    object input an exact integer one.  A one-shot `SweepOperator`.
+    """
+    x = np.asarray(x)
+    return SweepOperator(pieces, x.shape, x.dtype)(x)

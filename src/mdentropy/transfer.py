@@ -1,29 +1,10 @@
-"""Transfer operators over subset masks: the site sweep and the orbit quotient.
+"""Exact powers of the transfer operator, and its orbit quotient.
 
-The full transfer matrix of a section configuration has rows and columns
-indexed by subset masks; entry (S, T) counts covers of the complement of
-S | T and is zero when S and T intersect.  Its product with a vector is
-the subset convolution
-
-    (M x)(S) = sum over T inside the complement U of S of c(U - T) x(T)
-
-with c the cover counts.  A `SweepOperator` evaluates it without the
-matrix or the counts, from the section's pieces alone (a
-`SectionPieces`).  Placed once each on a copy z of x, as
-`matchcount.place_pieces` places them, the pieces leave z(U) summing
-c(U - T) x(T) over T inside U, so the product at S is z(full - S).  The
-operator writes that reversal directly: it copies x reversed into its
-buffer u and places every piece P downward, adding factor * u(S | P)
-into u(S) for each S without P.  Then u(S) = z(full - S) after every
-piece, each entry receiving the same additions in the same order, so u
-ends holding M x in natural order, with the bits of the upward
-placement.  The buffer and the piece views are made once per operator,
-for brackets and traces that apply M many times; `sweep_apply` is a
-one-shot call.  A sweep costs O(n * deg * 2^n) additions of nonnegative
-numbers, in the dtype of x: float64 for spectral brackets, int64 for
-exact traces and boundary quadratic forms, Python integers (object
-dtype) for the reference `matvec_exact`.  A trailing batch axis, x of
-shape (2^n, B), applies the matrix to B columns in one sweep.
+The full transfer matrix M of a section configuration, whose entry (S, T)
+counts covers of the complement of S | T, is applied by the site sweep of
+`matchcount` (`SweepOperator`, and its one-shot `sweep_apply`) from the
+section's pieces alone.  `matvec_exact` is the sweep on Python integers,
+the exact reference for every faster product.
 
 `full_trace_power` and `quadratic_form_count` both sum weighted diagonal
 entries of M^q, the form being (M^e)[0, 0].  `_diagonal_power_sum` sweeps
@@ -44,7 +25,7 @@ which keeps the spectral radius of the full matrix and is self-adjoint
 under the orbit-size weighted inner product: w_a * q[a][b] = w_b * q[b][a].
 
 The quotient and the float64 sparse form of the full matrix are kept as
-references independent of the sweep: both read the cover counts entry by
+references for the sweep's products: both read the cover counts entry by
 entry through `disjoint_pairs`, which lists every pair (S, T) of
 disjoint masks for given rows S in bounded blocks of numpy arrays, about
 3^n / |G| pairs for the quotient and 3^n for the full matrix.  The
@@ -67,7 +48,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .lattice import CapacityError, check_memory
-from .matchcount import CoverTable, SectionPieces, exact_dtype, piece_views, run_updates
+from .matchcount import CoverTable, SweepOperator, exact_dtype, sweep_apply
 from .symmetry import OrbitSpace
 
 if TYPE_CHECKING:
@@ -179,42 +160,6 @@ def weighted_symmetry_ok(qm: QuotientMatrix) -> bool:
             if w[a] * int(e[a, b]) != w[b] * int(e[b, a]):
                 return False
     return True
-
-
-class SweepOperator:
-    """The full transfer matrix of a section, applied to arrays of one shape and dtype.
-
-    `shape` is (2^n,) or, for a batch of B vectors, (2^n, B).  A call
-    returns the operator's buffer holding M x (see the module notes),
-    valid until the next call.  Only the pieces of `pieces` are read, so
-    a `SectionPieces` serves as well as a `CoverTable`.
-    """
-
-    def __init__(self, pieces: SectionPieces, shape: tuple[int, ...], dtype):
-        self.shape = tuple(shape)
-        if len(self.shape) not in (1, 2) or self.shape[0] != pieces.full + 1:
-            raise ValueError(f"array of shape {self.shape} does not match {pieces.full + 1} masks")
-        self.buffer = np.empty(self.shape, dtype=dtype)
-        self._updates = [(freed, held, factor) for held, freed, factor
-                         in piece_views(self.buffer, pieces.point_weights, pieces.adjacency.edges)]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != self.shape:
-            raise ValueError(f"array of shape {x.shape} does not match the operator's {self.shape}")
-        np.copyto(self.buffer, x[::-1])
-        run_updates(self._updates)
-        return self.buffer
-
-
-def sweep_apply(table: SectionPieces, x: np.ndarray) -> np.ndarray:
-    """Full transfer matrix of `table` times x, in a new array.
-
-    `x` has shape (2^n,) or, for a batch of B vectors, (2^n, B); the result
-    has its shape and dtype, so float64 input gives a float64 product and
-    object input an exact integer one.  A one-shot `SweepOperator`.
-    """
-    x = np.asarray(x)
-    return SweepOperator(table, x.shape, x.dtype)(x)
 
 
 def matvec_exact(table: CoverTable, x: list[int]) -> list[int]:

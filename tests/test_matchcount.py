@@ -7,8 +7,7 @@ import pytest
 from mdentropy import bounds, matchcount
 from mdentropy.bounds import one_dim_counts
 from mdentropy.lattice import CapacityError, LatticeShape
-from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, place_pieces
-from mdentropy.transfer import sweep_apply
+from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, SweepOperator, sweep_apply
 
 
 def full_count(dims, kind, dimer_only=False):
@@ -97,12 +96,6 @@ def test_counts_grow_with_subset():
         assert table.count(sub) <= table.count(mask)
 
 
-def test_empty_column_matches_entries():
-    table = CoverTable(LatticeShape((3,)), SectionKind.TORUS)
-    col = table.empty_column()
-    assert col == [table.entry(s, 0) for s in range(table.full + 1)]
-
-
 def test_capacity_limit():
     # 2^25 masks of ints are past the memory budget
     with pytest.raises(CapacityError):
@@ -116,7 +109,11 @@ def test_mask_range_checked():
 
 
 def reference_place(rows, point_weights, edges):
-    """`place_pieces` mask by mask in Python: rows[mask] lists the batch values."""
+    """The pieces placed upward, mask by mask in Python: rows[mask] lists the batch values.
+
+    Placed on x, the pieces leave at U the sum of c(U - T) x(T) over the
+    subsets T of U, so the sweep's M x is this placement reversed.
+    """
     pieces = [(1 << v, weight) for v, weight in enumerate(point_weights) if weight]
     pieces += [((1 << v) | (1 << w), mult) for v, w, mult in edges]
     for bits, factor in pieces:
@@ -147,26 +144,26 @@ def test_place_pieces_matches_a_per_mask_reference(monkeypatch, dims, kind, dime
     pieces = SectionPieces(LatticeShape(dims), kind, dimer_only)
     rng = np.random.default_rng(sum(dims) * 8 + len(dims))
     for batch in (None, 1, 2, 3, 4):
-        for z in kernel_inputs(pieces.full + 1, batch, rng):
-            rows = z.reshape(len(z), -1).tolist()
+        for x in kernel_inputs(pieces.full + 1, batch, rng):
+            rows = x.reshape(len(x), -1).tolist()
             reference_place(rows, pieces.point_weights, pieces.adjacency.edges)
-            want = np.array(rows, dtype=z.dtype).reshape(z.shape)
-            place_pieces(z, pieces.point_weights, pieces.adjacency.edges)
-            if z.dtype == object:
-                assert (z == want).all()
+            want = np.array(rows[::-1], dtype=x.dtype).reshape(x.shape)
+            got = SweepOperator(pieces, x.shape, x.dtype)(x)
+            if x.dtype == object:
+                assert (got == want).all()
             else:
-                assert z.dtype == want.dtype
-                assert np.array_equal(z, want)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
 
 def assert_float_placement_matches_the_reference(pieces, seed):
     rng = np.random.default_rng(seed)
     for batch in (None, 3):
-        z = next(kernel_inputs(pieces.full + 1, batch, rng))
-        rows = z.reshape(len(z), -1).tolist()
+        x = next(kernel_inputs(pieces.full + 1, batch, rng))
+        rows = x.reshape(len(x), -1).tolist()
         reference_place(rows, pieces.point_weights, pieces.adjacency.edges)
-        place_pieces(z, pieces.point_weights, pieces.adjacency.edges)
-        assert np.array_equal(z, np.array(rows).reshape(z.shape))
+        got = SweepOperator(pieces, x.shape, x.dtype)(x)
+        assert np.array_equal(got, np.array(rows[::-1]).reshape(x.shape))
 
 
 def test_place_pieces_past_the_size_floor_matches_the_reference():
@@ -186,7 +183,7 @@ def test_place_pieces_across_the_buffer_threshold_matches_the_reference(dims):
 
 
 def unscoped_sweep(pieces, x):
-    """`sweep_apply` as it ran before `place_pieces` scoped numpy's buffer size."""
+    """`sweep_apply` as it ran before the sweep scoped numpy's buffer size."""
     z = np.array(x, order="C")
     b = z.size // z.shape[0]
     for v, weight in enumerate(pieces.point_weights):
@@ -238,8 +235,10 @@ def caller_state(bufsize):
         yield
 
 
-def place_on_ones():
-    place_pieces(np.ones((1 << 12, 3)), (1,) * 12, ((0, 1, 1), (3, 9, 2)))
+def sweep_ones_batch():
+    shape = (1 << 12, 3)
+    SweepOperator(SectionPieces(LatticeShape((6, 2)), SectionKind.PROTRUDING),
+                  shape, np.float64)(np.ones(shape))
 
 
 def cold_log_radius():
@@ -248,7 +247,7 @@ def cold_log_radius():
 
 
 STATE_CALLS = {
-    "place_pieces": place_on_ones,
+    "place_pieces": sweep_ones_batch,
     "sweep_apply": lambda: sweep_apply(SectionPieces(LatticeShape((4, 3)), SectionKind.TORUS),
                                        np.ones(1 << 12)),
     "CoverTable": lambda: CoverTable(LatticeShape((12,)), SectionKind.PROTRUDING),

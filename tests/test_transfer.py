@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 from mdentropy.bounds import dimer_sectors
 from mdentropy.lattice import CapacityError, LatticeShape
-from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, place_pieces
+from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces
 from mdentropy.symmetry import (
     compute_orbits,
     generate_motion_group,
@@ -149,9 +149,20 @@ def test_batched_sweep_matches_column_sweeps(dims, kind, dimer_only):
 
 
 def reference_sweep(pieces, x):
-    """M x as the sweep was first written: pieces placed upward on a copy, then reversed."""
+    """M x as the sweep was first written: pieces placed upward on a copy, then reversed.
+
+    A point piece at v adds weight * z(A - v) into each z(A) with v in A,
+    an edge mult * z(A - v - w) into each z(A) holding both ends.
+    """
     z = np.array(x, order="C")
-    place_pieces(z, pieces.point_weights, pieces.adjacency.edges)
+    b = z.size // z.shape[0]
+    for v, weight in enumerate(pieces.point_weights):
+        if weight:
+            axis = z.reshape(-1, 2, b << v)
+            axis[:, 1] += weight * axis[:, 0]
+    for v, w, mult in pieces.adjacency.edges:
+        pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
+        pair[:, 1, :, 1] += mult * pair[:, 0, :, 0]
     return z[::-1]
 
 
@@ -320,7 +331,7 @@ def test_trace_on_both_sides_of_the_int64_bound(q):
 
 
 def _form_by_matvec(table, layers):
-    x = table.empty_column()
+    x = table.counts[::-1]
     v = x
     for _ in range(layers - 2):
         v = matvec_exact(table, v)
@@ -499,8 +510,6 @@ def test_validation_errors():
         sweep_apply(table, np.ones((8, 2, 2)))
     with pytest.raises(ValueError):
         SweepOperator(table, (8,), np.float64)(np.ones((8, 1)))
-    with pytest.raises(ValueError):
-        place_pieces(np.ones((8, 2))[:, 0], table.point_weights, table.adjacency.edges)
     orbits = compute_orbits(generate_motion_group(LatticeShape((4,))), 4)
     with pytest.raises(ValueError):
         build_quotient(table, orbits)
