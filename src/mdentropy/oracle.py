@@ -8,9 +8,11 @@ protrude (dimers may stick out through that direction's faces).  The
 geometry is rebuilt here directly from coordinates, independent of the
 bitmask tables, so agreement between the two paths checks both.
 
-The census records counts by number of dimers (wrapping and protruding
-dimers included).  Capacity is 20 points; enumeration is exponential by
-design.
+Every total, of a whole region or of one vertex subset, comes from one
+memoized count.  Only the census, which records counts by number of
+dimers (wrapping and protruding dimers included), backtracks without a
+memo and is exponential in the covers.  One 20-point region limit covers
+both.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def resolve_boundary(dims, boundary) -> tuple[str, ...]:
 
 
 def _geometry(dims, modes):
-    """Neighbor lists (as bit, index, multiplicity) and slots from coordinates."""
+    """Neighbor lists (as bit, multiplicity) and slots from coordinates."""
     d = len(dims)
     n = prod(dims)
     strides = []
@@ -70,12 +72,12 @@ def _geometry(dims, modes):
         strides.append(s)
         s *= m
     coords = [1] * d
-    neighbors: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     slots = [0] * n
 
     def add_edge(i, j, mult):
-        neighbors[i].append((1 << j, j, mult))
-        neighbors[j].append((1 << i, i, mult))
+        neighbors[i].append((1 << j, mult))
+        neighbors[j].append((1 << i, mult))
 
     for i in range(n):
         for k in range(d):
@@ -118,7 +120,7 @@ class CoverCensus:
         return sum(self.by_dimers.values())
 
 
-def _search(n: int, neighbors, slots, mask: int, dimer_only: bool) -> dict[int, int]:
+def _search(neighbors, slots, mask: int, dimer_only: bool) -> dict[int, int]:
     """Unmemoized backtracking census by dimer count; exponential in covers."""
     by_dimers: dict[int, int] = {}
     monomer_ok = not dimer_only
@@ -134,7 +136,7 @@ def _search(n: int, neighbors, slots, mask: int, dimer_only: bool) -> dict[int, 
             rec(rest, dimers, weight)
         if slots[v]:
             rec(rest, dimers + 1, weight * slots[v])
-        for wbit, _, mult in neighbors[v]:
+        for wbit, mult in neighbors[v]:
             if rest & wbit:
                 rec(rest ^ wbit, dimers + 1, weight * mult)
 
@@ -154,7 +156,7 @@ def _count(neighbors, slots, mask: int, monomer_ok: bool, memo: dict) -> int:
     rest = mask ^ low
     base = (1 if monomer_ok else 0) + slots[v]
     total = base * _count(neighbors, slots, rest, monomer_ok, memo) if base else 0
-    for wbit, _, mult in neighbors[v]:
+    for wbit, mult in neighbors[v]:
         if rest & wbit:
             total += mult * _count(neighbors, slots, rest ^ wbit, monomer_ok, memo)
     memo[mask] = total
@@ -162,6 +164,7 @@ def _count(neighbors, slots, mask: int, monomer_ok: bool, memo: dict) -> int:
 
 
 def _checked(dims, boundary):
+    """Integer extents, point count and modes; the one region limit check."""
     dims = tuple(int(m) for m in dims)
     if any(m < 1 for m in dims):
         raise ValueError(f"extents must be positive, got {dims}")
@@ -175,7 +178,7 @@ def enumerate_covers(dims, boundary, dimer_only: bool = False) -> CoverCensus:
     """Census of covers of the whole region, split by dimer count."""
     dims, n, modes = _checked(dims, boundary)
     neighbors, slots = _geometry(dims, modes)
-    by_dimers = _search(n, neighbors, slots, (1 << n) - 1, dimer_only)
+    by_dimers = _search(neighbors, slots, (1 << n) - 1, dimer_only)
     return CoverCensus(dims=dims, modes=modes, dimer_only=dimer_only, by_dimers=by_dimers)
 
 
@@ -195,15 +198,12 @@ _KIND_MODES = {
 
 
 def count_subset_covers(dims, kind: SectionKind, mask: int, dimer_only: bool = False) -> int:
-    """Covers of one vertex subset of a section, enumerated directly."""
-    dims = tuple(int(m) for m in dims)
-    n = prod(dims)
-    if n > MAX_ORACLE_POINTS:
-        raise CapacityError(f"{n} points exceed the {MAX_ORACLE_POINTS}-point oracle limit")
+    """Covers of one vertex subset of a section, counted from coordinates."""
+    dims, n, modes = _checked(dims, _KIND_MODES[kind](len(dims)))
     if not 0 <= mask < (1 << n):
         raise ValueError("subset mask outside the section")
-    neighbors, slots = _geometry(dims, _KIND_MODES[kind](len(dims)))
-    return sum(_search(n, neighbors, slots, mask, dimer_only).values())
+    neighbors, slots = _geometry(dims, modes)
+    return _count(neighbors, slots, mask, not dimer_only, {})
 
 
 @dataclass
@@ -221,40 +221,28 @@ def verify_transfer_identities(section_dims, layers: int) -> list[IdentityCheck]
     """Compare transfer traces and quadratic forms against direct enumeration.
 
     Traces pair with a wrapped layer direction, boundary-vector quadratic
-    forms with a tiled one.  Mixed-kind checks only exist above two
-    dimensions, where the kind differs from the torus kind.
+    forms with a tiled one; the box kind has a trace only.  Mixed-kind
+    checks exist for sections of two or more dimensions, where the kind
+    differs from the torus kind.
     """
-    section_dims = tuple(int(m) for m in section_dims)
-    d = len(section_dims) + 1
-    dims = (*section_dims, layers)
-    if prod(dims) > MAX_ORACLE_POINTS:
-        raise CapacityError(f"region {dims} exceeds the oracle limit")
+    dims, _, _ = _checked((*section_dims, layers), "tiling")
+    section_dims = dims[:-1]
     shape = LatticeShape(section_dims)
+    kinds = [SectionKind.BOX, SectionKind.TORUS, SectionKind.PROTRUDING]
+    if len(section_dims) >= 2:
+        kinds.append(SectionKind.MIXED)
     checks: list[IdentityCheck] = []
-    trace_cases = [
-        (SectionKind.BOX, (TILE,) * (d - 1) + (WRAP,)),
-        (SectionKind.TORUS, (WRAP,) * d),
-        (SectionKind.PROTRUDING, (PROTRUDE,) * (d - 1) + (WRAP,)),
-    ]
-    form_cases = [
-        (SectionKind.TORUS, (WRAP,) * (d - 1) + (TILE,)),
-        (SectionKind.PROTRUDING, (PROTRUDE,) * (d - 1) + (TILE,)),
-    ]
-    if d == 3:
-        trace_cases.append((SectionKind.MIXED, (WRAP, PROTRUDE, WRAP)))
-        form_cases.append((SectionKind.MIXED, (WRAP, PROTRUDE, TILE)))
     for dimer_only in (False, True):
         tag = "dimer" if dimer_only else "full"
-        for kind, modes in trace_cases:
-            table = CoverTable(shape, kind, dimer_only)
+        tables = {kind: CoverTable(shape, kind, dimer_only) for kind in kinds}
+        for kind, table in tables.items():
             lhs = full_trace_power(table, layers)
-            rhs = count_covers(dims, modes, dimer_only)
+            rhs = count_covers(dims, _KIND_MODES[kind](len(section_dims)) + (WRAP,), dimer_only)
             checks.append(IdentityCheck(f"trace:{kind.value}:{tag}", lhs, rhs))
-        if layers >= 2:
-            for kind, modes in form_cases:
-                table = CoverTable(shape, kind, dimer_only)
+        for kind, table in tables.items():
+            if layers >= 2 and kind is not SectionKind.BOX:
                 lhs = quadratic_form_count(table, layers)
-                rhs = count_covers(dims, modes, dimer_only)
+                rhs = count_covers(dims, _KIND_MODES[kind](len(section_dims)) + (TILE,), dimer_only)
                 checks.append(IdentityCheck(f"form:{kind.value}:{tag}", lhs, rhs))
     return checks
 

@@ -155,6 +155,10 @@ def test_identity_check_inventory():
     names = {check.name for check in verify_transfer_identities((2, 2), 2)}
     assert "trace:mixed:full" in names
     assert "form:mixed:dimer" in names
+    # so do three-dimensional ones
+    checks = verify_transfer_identities((2, 2, 2), 2)
+    assert len(checks) == 14
+    assert all(check.ok for check in checks)
 
 
 def test_verification_suite_passes():
@@ -182,3 +186,9 @@ def test_region_validation():
         count_covers((0,), "tiling")
     with pytest.raises(ValueError):
         count_subset_covers((3,), SectionKind.BOX, 1 << 3)
+    with pytest.raises(ValueError):
+        count_subset_covers((0,), SectionKind.BOX, 0)
+    with pytest.raises(ValueError):
+        count_subset_covers((3, 0), SectionKind.TORUS, 0)
+    with pytest.raises(ValueError):
+        count_subset_covers((-1,), SectionKind.BOX, 0)
