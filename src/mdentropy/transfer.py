@@ -6,15 +6,28 @@ counts covers of the complement of S | T, is applied by the site sweep of
 section's pieces alone.  `matvec_exact` is the sweep on Python integers,
 the exact reference for every faster product.
 
-`full_trace_power` and `quadratic_form_count` both sum weighted diagonal
-entries of M^q, the form being (M^e)[0, 0].  `_diagonal_power_sum` sweeps
-the basis columns as int64 residues modulo a few pairwise coprime moduli
-and rebuilds the sum by Chinese remaindering.  R, the sum of all counts,
-is row 0's sum and the largest row sum, so entries of M^k X on 0/1
-columns X are at most R^k, and partial sums never exceed the entries they
-add up to.  So while R^q < 2^63 the sweep runs in plain int64, and else
-on residues below moduli p with (p - 1) R < 2^63, taken until their
-product exceeds the weights' total times R^q.
+`full_trace_power` sums weighted diagonal entries of M^q:
+`_diagonal_power_sum` sweeps the basis columns q times and reads the
+diagonal.  `quadratic_form_count` is the entry (M^e)[0, 0].  M is
+symmetric and its boundary vector x = M e0 is the cover table's counts
+reversed, so the entry is x^T M^(e-2) x = <M^a x, M^b x> with a = (e - 2)
+// 2 and b = e - 2 - a: the form sweeps x b times and closes with one dot.
+
+Both run on int64.  R, the sum of all counts, is row 0's sum and the
+largest row sum, so entries of M^k X on 0/1 columns X are at most R^k,
+and entries of M^k x at most R^(k+1); every term is nonnegative, so each
+partial sum of a sweep or a dot is at most the value it adds up to.  While
+R^q < 2^63 (R^e for a form) everything therefore runs in plain int64, the
+dot's products and partial sums included, as they are at most the form.
+Otherwise the columns are int64 residues modulo a few pairwise coprime
+moduli p from `residue_moduli`, reduced after each sweep, and a sweep of
+residues below p sums terms up to (p - 1) R < 2^63.  A form's moduli are
+also below 2^31, as its factor bound is max(R, 2^31): each product of two
+residues in the dot is below 2^62 and is reduced modulo p at once, and the
+2^n reduced products sum below 2^(31 + n), inside int64 for n <= 32, far
+past the memory budget.  The moduli are taken until their product exceeds
+W R^q, W the weights' total (1 for a form), and the count is rebuilt by
+Chinese remaindering.
 
 Folding columns over the mask orbits of a group that preserves the matrix
 gives the quotient
@@ -54,8 +67,8 @@ from .symmetry import OrbitSpace
 if TYPE_CHECKING:
     from scipy import sparse
 
-# full_trace_power's time, not its memory, grows some 5x per point: q = 1
-# unfolded took 1.0 s at (13,) and 5.0 s at (14,) on a two-core VM
+# full_trace_power's time, not its memory, grows some 4.5x per point: q = 1
+# unfolded took 0.6-0.7 s at (13,) and 2.8-3.0 s at (14,) on a two-core VM
 TRACE_TIME_MAX_POINTS = 14
 _FLOAT_EXACT_LIMIT = 1 << 53
 _BLOCK_ENTRIES = 1 << 20
@@ -187,24 +200,57 @@ def residue_moduli(bound: int, row_sum: int) -> list[int]:
     raise CapacityError(f"no int64 moduli cover {bound.bit_length()} bits at row sum {row_sum}")
 
 
+def _plan(table: CoverTable, power: int, weights: list[int], dot: bool = False
+          ) -> tuple[int, np.ndarray]:
+    """Columns per block and int64 moduli for a weighted sum of entries of M^power.
+
+    With R the sum of all counts, W the weights' total and B = power *
+    bits(R), a column takes k = 1 int64 entry if B <= 63, else k = ceil((B
+    + bits(W)) / (62 - bits(F))) residues, F the factor bound R, or max(R,
+    2^31) for a closing `dot`: each modulus adds at least 62 - bits(F)
+    bits.  k comes from bit lengths, so 24 B per entry of a block of at
+    most max(2^20, k * 2^n) entries is checked before W R^power is formed:
+    the block, the operator's buffer and a half-size temporary of piece
+    updates.  No moduli while R^power < 2^63.
+    """
+    n = table.shape.n
+    row_sum, total = sum(table.counts), sum(weights)
+    factor = max(row_sum, 1 << 31) if dot else row_sum
+    bits = power * row_sum.bit_length()
+    k = 1 if bits <= 63 else -(-(bits + total.bit_length()) // max(62 - factor.bit_length(), 1))
+    width = max(1, (_BLOCK_ENTRIES >> n) // k)
+    check_memory((24 * k * min(width, len(weights))) << n,
+                 f"M^{power} over {n} points on {k} int64 residues")
+    moduli = residue_moduli(total * row_sum ** power, factor) if row_sum ** power >> 63 else []
+    return width, np.array(moduli, dtype=np.int64)
+
+
+def _sweep(sweep: SweepOperator, z: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """M z, reduced into z on residues; in plain int64 the operator's buffer."""
+    y = sweep(z.reshape(sweep.shape)).reshape(z.shape)
+    return np.remainder(y, moduli, out=z) if moduli.size else y
+
+
+def _crt(residues, moduli: np.ndarray) -> int:
+    """The integer below the moduli's product with these residues; residues[0] if none."""
+    if not moduli.size:
+        return int(residues[0])
+    total, product = 0, 1
+    for p, residue in zip(moduli.tolist(), residues):
+        total += product * ((int(residue) - total) * pow(product, -1, p) % p)
+        product *= p
+    return total
+
+
 def _diagonal_power_sum(table: CoverTable, q: int, reps: list[int], weights: list[int]) -> int:
     """Exact sum of w * (M^q)[r, r] over the masks r of `reps`, weights w.
 
-    Predicts 24 B per entry of a block (at most 2^20 entries, counting k
-    residues per column, k found from bit lengths without computing R^q):
-    the block, the sweep's copy and a half-size temporary of piece updates.
+    The basis columns go through q sweeps in blocks of `_plan`, k residues
+    per column.
     """
     n = table.shape.n
-    row_sum = sum(table.counts)
-    # entries stay in plain int64 while R^q < 2^63; else see residue_moduli
-    bits = q * row_sum.bit_length()
-    step = max(62 - row_sum.bit_length(), 1)
-    k = 1 if bits <= 63 else -(-(bits + sum(weights).bit_length()) // step)
-    width = max(1, (_BLOCK_ENTRIES >> n) // k)
-    check_memory((24 * k * min(width, len(reps))) << n,
-                 f"M^{q} over {n} points on {k} int64 residues")
-    moduli = residue_moduli(sum(weights) * row_sum ** q, row_sum) if row_sum ** q >> 63 else []
-    sums = np.zeros(len(moduli) or 1, dtype=object)
+    width, moduli = _plan(table, q, weights)
+    sums = np.zeros(moduli.size or 1, dtype=object)
     sweep = None
     for start in range(0, len(reps), width):
         rows = reps[start:start + width]
@@ -215,15 +261,9 @@ def _diagonal_power_sum(table: CoverTable, q: int, reps: list[int], weights: lis
             sweep = None  # frees the last block's buffer before the next is allocated
             sweep = SweepOperator(table, (1 << n, z.size >> n), np.int64)
         for _ in range(q):
-            z = sweep(z.reshape(sweep.shape)).reshape(z.shape)
-            if moduli:
-                np.remainder(z, moduli, out=z)
+            z = _sweep(sweep, z, moduli)
         sums += np.array(weights[start:start + width], dtype=object) @ z[rows, cols].astype(object)
-    total, product = 0, 1
-    for p, residue in zip(moduli, sums):
-        total += product * ((residue - total) * pow(product, -1, p) % p)
-        product *= p
-    return total if moduli else sums[0]
+    return _crt(sums, moduli)
 
 
 def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None) -> int:
@@ -254,13 +294,35 @@ def quadratic_form_count(table: CoverTable, exponent: int) -> int:
     The boundary vector closes both ends of a stack of `exponent` layers
     with no dimer leaving through the stacking direction, so the result
     counts covers of the section extended by a tiled layer direction.
-    As x = M e_0 and M is symmetric, that is (M^exponent)[0, 0].  Predicts
-    24 k * 2^n bytes, R the sum of all counts and B = exponent * bits(R):
-    k = 1 if B <= 63, else k = ceil((B + 1) / (62 - bits(R))) residues.
+    x = M e0 is the counts reversed, so this is (M^exponent)[0, 0], and
+    with a = (exponent - 2) // 2, b = exponent - 2 - a it is <M^a x, M^b
+    x>: b sweeps of x and one dot.  Predicts 24 k * 2^n bytes, R the sum
+    of all counts and B = exponent * bits(R): k = 1 if B <= 63, else k =
+    ceil((B + 1) / (62 - max(bits(R), 32))) residues.
     """
     if exponent < 2:
         raise ValueError("quadratic form needs at least two layers")
-    return _diagonal_power_sum(table, exponent, [0], [1])
+    _, moduli = _plan(table, exponent, [1], dot=True)
+    a = (exponent - 2) // 2
+    b = exponent - 2 - a
+    u = np.array(table.counts[::-1], dtype=np.int64).reshape(-1, 1)
+    if moduli.size:
+        u = np.remainder(u, moduli)
+    if b:
+        sweep = SweepOperator(table, u.shape, np.int64)
+        for _ in range(a):
+            u = _sweep(sweep, u, moduli)
+    v = u
+    if b > a:
+        if a and not moduli.size:
+            u = u.copy()  # a plain sweep returns the buffer, which the next one overwrites
+        v = sweep(u)
+        if moduli.size:
+            np.remainder(v, moduli, out=v)
+    np.multiply(u, v, out=v)  # v holds the dot's products from here on
+    if moduli.size:
+        np.remainder(v, moduli, out=v)
+    return _crt(v.sum(axis=0), moduli)
 
 
 def full_matrix_sparse(table: CoverTable) -> sparse.csr_matrix:

@@ -343,11 +343,76 @@ def _form_by_matvec(table, layers):
     ((4, 3), 6, 1061434302051662227273233718914953),
 ])
 def test_multi_modulus_forms_match_the_object_reference(dims, layers, want):
-    # x^T M^(e-2) x on Python integers against (M^e)[0, 0] on four residues
+    # x^T M^(e-2) x on Python integers against the form on five residues,
+    # each below 2^31 so that the closing dot's products fit int64
     table = CoverTable(LatticeShape(dims), SectionKind.PROTRUDING)
     row_sum = sum(table.counts)
-    assert len(residue_moduli(row_sum ** layers, row_sum)) == 4
+    assert len(residue_moduli(row_sum ** layers, max(row_sum, 1 << 31))) == 5
     assert quadratic_form_count(table, layers) == _form_by_matvec(table, layers) == want
+
+
+# the fewest layers at which (2, 2, 2, 2) runs on residues, R^e >= 2^63;
+# the dimer-only box stays in plain int64 up to e = 4
+FIRST_RESIDUE_LAYERS = {
+    (SectionKind.BOX, False): 3, (SectionKind.BOX, True): 5,
+    (SectionKind.TORUS, False): 3, (SectionKind.TORUS, True): 4,
+    (SectionKind.MIXED, False): 2, (SectionKind.MIXED, True): 2,
+    (SectionKind.PROTRUDING, False): 2, (SectionKind.PROTRUDING, True): 2,
+}
+
+
+@pytest.mark.parametrize("layers", [2, 3, 4])
+@pytest.mark.parametrize("dimer_only", [False, True])
+@pytest.mark.parametrize("kind", list(SectionKind))
+def test_short_forms_match_the_object_reference(kind, dimer_only, layers):
+    # e = 2 is the dot x.x with no sweep, e = 3 is x.Mx and e = 4 is Mx.Mx,
+    # one sweep each; (3, 2) runs in plain int64
+    small = CoverTable(LatticeShape((3, 2)), kind, dimer_only)
+    assert sum(small.counts) ** layers < 1 << 63
+    assert quadratic_form_count(small, layers) == _form_by_matvec(small, layers)
+    large = CoverTable(LatticeShape((2, 2, 2, 2)), kind, dimer_only)
+    residues = sum(large.counts) ** layers >= 1 << 63
+    assert residues == (layers >= FIRST_RESIDUE_LAYERS[kind, dimer_only])
+    assert quadratic_form_count(large, layers) == _form_by_matvec(large, layers)
+
+
+@pytest.mark.parametrize("dims,layers,want,moduli", [
+    # the domino tilings of 8 x 8, in plain int64
+    ((8,), 8, 12988816, 0),
+    # R < 2^8, so many small-bit layers: 236 bits of R^e on 8 moduli
+    ((12,), 30, 9336356914608623596381398656149444395093701, 8),
+])
+def test_dimer_only_box_forms(dims, layers, want, moduli):
+    table = CoverTable(LatticeShape(dims), SectionKind.BOX, dimer_only=True)
+    row_sum = sum(table.counts)
+    bound = row_sum ** layers
+    assert len(residue_moduli(bound, max(row_sum, 1 << 31)) if bound >> 63 else []) == moduli
+    assert quadratic_form_count(table, layers) == _form_by_matvec(table, layers) == want
+
+
+@pytest.mark.parametrize("dims,kind,residues", [
+    ((3, 2), SectionKind.BOX, False),
+    ((2, 2, 2, 1, 1, 1, 1, 1, 1), SectionKind.PROTRUDING, True),
+])
+def test_forms_sweep_the_boundary_vector_half_the_layers(monkeypatch, dims, kind, residues):
+    # (M^e)[0, 0] = <M^a x, M^b x> with a = (e - 2) // 2 and b = e - 2 - a,
+    # so a form sweeps b times; a trace still sweeps its columns q times.
+    # The box stays in plain int64 up to e = 7; the padded protruding
+    # section, R > 2^32, runs on residues from e = 2
+    table = CoverTable(LatticeShape(dims), kind)
+    row_sum = sum(table.counts)
+    assert (row_sum ** 2 >= 1 << 63) == (row_sum ** 7 >= 1 << 63) == residues
+    calls = []
+    call = SweepOperator.__call__
+    monkeypatch.setattr(SweepOperator, "__call__", lambda self, x: calls.append(x.shape) or call(self, x))
+    for layers in range(2, 8):
+        calls.clear()
+        got = quadratic_form_count(table, layers)
+        assert len(calls) == layers - 2 - (layers - 2) // 2
+        assert got == _form_by_matvec(table, layers)
+    calls.clear()
+    full_trace_power(table, 3)
+    assert len(calls) == 3
 
 
 def test_multi_modulus_orbit_weighted_trace_matches_the_object_reference():
