@@ -32,7 +32,7 @@ from .bounds import (
     section_orbit_count,
     transfer_log_radius,
 )
-from .lattice import CapacityError
+from .lattice import CapacityError, check_memory
 from .oracle import run_verification_suite
 
 EXIT_OK = 0
@@ -216,7 +216,9 @@ def cmd_lambda(args) -> int:
     if not 0.0 < step <= 0.1:
         raise UsageError(f"--grid must be in (0, 0.1], got {step}")
     curve = lambda1 if d == 1 else (lambda p: lambda_lower(d, p))
-    steps = math.floor(1.0 / step + 1e-9)
+    steps = math.floor(min(1.0 / step, 2.0 ** 63) + 1e-9)  # 1 / step is inf for subnormal steps
+    # rows are held until the output is written: 266 B of RSS each on Python 3.11, 375 B allowed
+    check_memory(375 * (steps + 2), f"a lambda curve of at least {steps + 2:,} rows")
     rows = []
     for i in range(steps + 1):
         p = min(i * step, 1.0)

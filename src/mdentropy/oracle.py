@@ -43,8 +43,7 @@ def resolve_boundary(dims, boundary) -> tuple[str, ...]:
     """Normalize a boundary request to one mode per direction.
 
     Accepts a named mode ("tiling", "periodic", "protruding") applied to
-    every direction, a collection of 1-based direction numbers meaning
-    wrap-these-protrude-the-rest, or an explicit per-direction mode tuple.
+    every direction, or an explicit per-direction mode tuple.
     """
     d = len(dims)
     if isinstance(boundary, str):
@@ -52,11 +51,6 @@ def resolve_boundary(dims, boundary) -> tuple[str, ...]:
             raise ValueError(f"unknown boundary name {boundary!r}")
         return (_NAMED[boundary],) * d
     seq = tuple(boundary)
-    if all(isinstance(x, int) and not isinstance(x, bool) for x in seq):
-        wrap_dirs = set(seq)
-        if not wrap_dirs <= set(range(1, d + 1)):
-            raise ValueError(f"wrap directions {seq} outside 1..{d}")
-        return tuple(WRAP if k in wrap_dirs else PROTRUDE for k in range(1, d + 1))
     if len(seq) == d and all(x in _MODES for x in seq):
         return seq
     raise ValueError(f"cannot interpret boundary {boundary!r} for {d} directions")

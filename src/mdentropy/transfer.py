@@ -6,28 +6,29 @@ counts covers of the complement of S | T, is applied by the site sweep of
 section's pieces alone.  `matvec_exact` is the sweep on Python integers,
 the exact reference for every faster product.
 
-`full_trace_power` sums weighted diagonal entries of M^q:
-`_diagonal_power_sum` sweeps the basis columns q times and reads the
-diagonal.  `quadratic_form_count` is the entry (M^e)[0, 0].  M is
-symmetric and its boundary vector x = M e0 is the cover table's counts
-reversed, so the entry is x^T M^(e-2) x = <M^a x, M^b x> with a = (e - 2)
-// 2 and b = e - 2 - a: the form sweeps x b times and closes with one dot.
+Every exact power goes through one closing routine, `_close`: M is
+symmetric, so c^T M^t c = <M^a c, M^b c> with a = t // 2 and b = t - a,
+and `_close` sums w * <M^a c, M^b c> over blocks of columns c with a
+sweeps, one more when b > a, and one dot per column.  `full_trace_power`
+feeds it the basis columns e_r, weighted by orbit size, at t = q, so a
+trace sweeps ceil(q / 2) times; tr(M^0) = 2^n and tr(M) = c(full) come
+off the table, since only the empty mask is disjoint from itself.
+`quadratic_form_count`, the entry (M^e)[0, 0], feeds it the one column
+x = M e0, the cover counts reversed, at t = e - 2.
 
 Both run on int64.  R, the sum of all counts, is row 0's sum and the
-largest row sum, so entries of M^k X on 0/1 columns X are at most R^k,
-and entries of M^k x at most R^(k+1); every term is nonnegative, so each
-partial sum of a sweep or a dot is at most the value it adds up to.  While
-R^q < 2^63 (R^e for a form) everything therefore runs in plain int64, the
-dot's products and partial sums included, as they are at most the form.
-Otherwise the columns are int64 residues modulo a few pairwise coprime
-moduli p from `residue_moduli`, reduced after each sweep, and a sweep of
-residues below p sums terms up to (p - 1) R < 2^63.  A form's moduli are
-also below 2^31, as its factor bound is max(R, 2^31): each product of two
-residues in the dot is below 2^62 and is reduced modulo p at once, and the
-2^n reduced products sum below 2^(31 + n), inside int64 for n <= 32, far
-past the memory budget.  The moduli are taken until their product exceeds
-W R^q, W the weights' total (1 for a form), and the count is rebuilt by
-Chinese remaindering.
+largest row sum, so entries of M^k e_r are at most R^k, and entries of
+M^k x at most R^(k+1); every term is nonnegative, so each partial sum of
+a sweep or a dot is at most the value it adds up to.  While R^q < 2^63
+(R^e for a form) everything therefore runs in plain int64, the dot's
+products and partial sums included.  Otherwise the columns are int64
+residues modulo a few pairwise coprime moduli p from `residue_moduli`,
+with factor bound max(R, 2^31): a sweep of residues below p sums terms
+up to (p - 1) R < 2^63, each product of two residues in the dot is below
+2^62 and is reduced modulo p at once, and the 2^n reduced products sum
+below 2^(31 + n), inside int64 for n <= 32, far past the memory budget.
+The moduli are taken until their product exceeds W R^q, W the weights'
+total (1 for a form), and the count is rebuilt by Chinese remaindering.
 
 Folding columns over the mask orbits of a group that preserves the matrix
 gives the quotient
@@ -67,8 +68,8 @@ from .symmetry import OrbitSpace
 if TYPE_CHECKING:
     from scipy import sparse
 
-# full_trace_power's time, not its memory, grows some 4.5x per point: q = 1
-# unfolded took 0.6-0.7 s at (13,) and 2.8-3.0 s at (14,) on a two-core VM
+# full_trace_power's time, not its memory, grows some 4.5x per point: q = 2
+# unfolded took 0.8-0.9 s at (13,) and 3.8-3.9 s at (14,) on a two-core VM
 TRACE_TIME_MAX_POINTS = 14
 _FLOAT_EXACT_LIMIT = 1 << 53
 _BLOCK_ENTRIES = 1 << 20
@@ -200,22 +201,21 @@ def residue_moduli(bound: int, row_sum: int) -> list[int]:
     raise CapacityError(f"no int64 moduli cover {bound.bit_length()} bits at row sum {row_sum}")
 
 
-def _plan(table: CoverTable, power: int, weights: list[int], dot: bool = False
-          ) -> tuple[int, np.ndarray]:
+def _plan(table: CoverTable, power: int, weights: list[int]) -> tuple[int, np.ndarray]:
     """Columns per block and int64 moduli for a weighted sum of entries of M^power.
 
-    With R the sum of all counts, W the weights' total and B = power *
-    bits(R), a column takes k = 1 int64 entry if B <= 63, else k = ceil((B
-    + bits(W)) / (62 - bits(F))) residues, F the factor bound R, or max(R,
-    2^31) for a closing `dot`: each modulus adds at least 62 - bits(F)
-    bits.  k comes from bit lengths, so 24 B per entry of a block of at
-    most max(2^20, k * 2^n) entries is checked before W R^power is formed:
-    the block, the operator's buffer and a half-size temporary of piece
-    updates.  No moduli while R^power < 2^63.
+    With R the sum of all counts, F = max(R, 2^31), W the weights' total
+    and B = power * bits(R), a column takes k = 1 int64 entry if B <= 63,
+    else k = ceil((B + bits(W)) / (62 - bits(F))) residues: each modulus
+    adds at least 62 - bits(F) bits.  k comes from bit lengths, so 24 B
+    per entry of a block of at most max(2^20, k * 2^n) entries is checked
+    before W R^power is formed: the block, the operator's buffer, which
+    takes the dot's products, and piece-update temporaries.  No moduli
+    while R^power < 2^63.
     """
     n = table.shape.n
     row_sum, total = sum(table.counts), sum(weights)
-    factor = max(row_sum, 1 << 31) if dot else row_sum
+    factor = max(row_sum, 1 << 31)
     bits = power * row_sum.bit_length()
     k = 1 if bits <= 63 else -(-(bits + total.bit_length()) // max(62 - factor.bit_length(), 1))
     width = max(1, (_BLOCK_ENTRIES >> n) // k)
@@ -225,10 +225,14 @@ def _plan(table: CoverTable, power: int, weights: list[int], dot: bool = False
     return width, np.array(moduli, dtype=np.int64)
 
 
-def _sweep(sweep: SweepOperator, z: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """M z, reduced into z on residues; in plain int64 the operator's buffer."""
+def _sweep(sweep: SweepOperator, z: np.ndarray, moduli: np.ndarray, out=None) -> np.ndarray:
+    """M z, reduced modulo each p on residues, into `out` or else the operator's buffer."""
     y = sweep(z.reshape(sweep.shape)).reshape(z.shape)
-    return np.remainder(y, moduli, out=z) if moduli.size else y
+    out = y if out is None else out
+    if moduli.size:
+        return np.remainder(y, moduli, out=out)
+    np.copyto(out, y)  # returns at once when out is the buffer itself
+    return out
 
 
 def _crt(residues, moduli: np.ndarray) -> int:
@@ -242,27 +246,31 @@ def _crt(residues, moduli: np.ndarray) -> int:
     return total
 
 
-def _diagonal_power_sum(table: CoverTable, q: int, reps: list[int], weights: list[int]) -> int:
-    """Exact sum of w * (M^q)[r, r] over the masks r of `reps`, weights w.
+def _close(table: CoverTable, blocks, power: int, moduli: np.ndarray) -> int:
+    """Exact sum of w * <M^a c, M^b c> over the columns c of every block.
 
-    The basis columns go through q sweeps in blocks of `_plan`, k residues
-    per column.
+    a = power // 2 and b = power - a.  `blocks` yields (z, weights): z of
+    shape (2^n, columns, k), reduced modulo each of the k moduli (k = 1
+    and no moduli in plain int64), and one weight per column.  Each block
+    is swept a times in place, once more into the operator's buffer when
+    b > a, and closed with one product per entry, reduced at once, and
+    one sum per column.
     """
-    n = table.shape.n
-    width, moduli = _plan(table, q, weights)
+    a, b = power // 2, power - power // 2
     sums = np.zeros(moduli.size or 1, dtype=object)
     sweep = None
-    for start in range(0, len(reps), width):
-        rows = reps[start:start + width]
-        cols = np.arange(len(rows))
-        z = np.zeros((1 << n, len(rows), len(sums)), dtype=np.int64)
-        z[rows, cols] = 1
-        if sweep is None or sweep.shape != (1 << n, z.size >> n):
+    for z, weights in blocks:
+        if b and (sweep is None or sweep.buffer.size != z.size):
             sweep = None  # frees the last block's buffer before the next is allocated
-            sweep = SweepOperator(table, (1 << n, z.size >> n), np.int64)
-        for _ in range(q):
-            z = _sweep(sweep, z, moduli)
-        sums += np.array(weights[start:start + width], dtype=object) @ z[rows, cols].astype(object)
+            sweep = SweepOperator(table, (len(z), z.size // len(z)), np.int64)
+        for _ in range(a):
+            _sweep(sweep, z, moduli, out=z)
+        v = _sweep(sweep, z, moduli) if b > a else z
+        np.multiply(z, v, out=v)
+        if moduli.size:
+            np.remainder(v, moduli, out=v)
+        sums += np.array(weights, dtype=object) @ v.sum(axis=0).astype(object)
+        del z, v  # freed before the next block is allocated
     return _crt(sums, moduli)
 
 
@@ -272,7 +280,9 @@ def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None
     With an orbit space supplied, only one diagonal entry per orbit is
     computed and weighted by the orbit size; the diagonal of a power is
     constant on orbits because the group conjugates the matrix to itself.
-    `TRACE_TIME_MAX_POINTS` bounds the time of `_diagonal_power_sum`.
+    tr(M) = c(full), as only the empty mask, an orbit of its own, meets
+    itself; from q = 2 the basis columns go to `_close` in blocks of
+    `_plan`, whose time `TRACE_TIME_MAX_POINTS` bounds.
     """
     n = table.shape.n
     if n > TRACE_TIME_MAX_POINTS:
@@ -283,9 +293,21 @@ def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None
         raise ValueError("orbit space and cover table disagree on point count")
     if q == 0:
         return 1 << n
-    if orbits is not None:
-        return _diagonal_power_sum(table, q, list(orbits.reps), list(orbits.sizes))
-    return _diagonal_power_sum(table, q, list(range(1 << n)), [1] * (1 << n))
+    if q == 1:
+        return table.counts[table.full]
+    reps = list(orbits.reps) if orbits is not None else list(range(1 << n))
+    weights = list(orbits.sizes) if orbits is not None else [1] * (1 << n)
+    width, moduli = _plan(table, q, weights)
+
+    def blocks():
+        for start in range(0, len(reps), width):
+            rows = reps[start:start + width]
+            z = np.zeros((1 << n, len(rows), moduli.size or 1), dtype=np.int64)
+            z[rows, np.arange(len(rows))] = 1
+            yield z, weights[start:start + width]
+            del z  # so only one block is alive at a time
+
+    return _close(table, blocks(), q, moduli)
 
 
 def quadratic_form_count(table: CoverTable, exponent: int) -> int:
@@ -294,35 +316,16 @@ def quadratic_form_count(table: CoverTable, exponent: int) -> int:
     The boundary vector closes both ends of a stack of `exponent` layers
     with no dimer leaving through the stacking direction, so the result
     counts covers of the section extended by a tiled layer direction.
-    x = M e0 is the counts reversed, so this is (M^exponent)[0, 0], and
-    with a = (exponent - 2) // 2, b = exponent - 2 - a it is <M^a x, M^b
-    x>: b sweeps of x and one dot.  Predicts 24 k * 2^n bytes, R the sum
-    of all counts and B = exponent * bits(R): k = 1 if B <= 63, else k =
-    ceil((B + 1) / (62 - max(bits(R), 32))) residues.
+    x = M e0 is the counts reversed, so this is (M^exponent)[0, 0], the
+    one column x through `_close` at exponent - 2.  Predicts 24 k * 2^n
+    bytes, R the sum of all counts and B = exponent * bits(R): k = 1 if
+    B <= 63, else k = ceil((B + 1) / (62 - max(bits(R), 32))) residues.
     """
     if exponent < 2:
         raise ValueError("quadratic form needs at least two layers")
-    _, moduli = _plan(table, exponent, [1], dot=True)
-    a = (exponent - 2) // 2
-    b = exponent - 2 - a
-    u = np.array(table.counts[::-1], dtype=np.int64).reshape(-1, 1)
-    if moduli.size:
-        u = np.remainder(u, moduli)
-    if b:
-        sweep = SweepOperator(table, u.shape, np.int64)
-        for _ in range(a):
-            u = _sweep(sweep, u, moduli)
-    v = u
-    if b > a:
-        if a and not moduli.size:
-            u = u.copy()  # a plain sweep returns the buffer, which the next one overwrites
-        v = sweep(u)
-        if moduli.size:
-            np.remainder(v, moduli, out=v)
-    np.multiply(u, v, out=v)  # v holds the dot's products from here on
-    if moduli.size:
-        np.remainder(v, moduli, out=v)
-    return _crt(v.sum(axis=0), moduli)
+    _, moduli = _plan(table, exponent, [1])
+    x = np.array(table.counts[::-1], dtype=np.int64).reshape(-1, 1, 1)
+    return _close(table, [(x % moduli if moduli.size else x, [1])], exponent - 2, moduli)
 
 
 def full_matrix_sparse(table: CoverTable) -> sparse.csr_matrix:

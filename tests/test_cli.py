@@ -254,6 +254,33 @@ def test_lambda_rejects_bad_grid(capsys):
     assert run_cli(capsys, "lambda", "--d", "2", "--grid", "0")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ("--grid", "1e-300"),
+    ("--grid", "1e-300", "--format", "json"),
+    # 1 / 5e-324 overflows to inf
+    ("--grid", "5e-324"),
+    ("--grid", "1e-7"),
+])
+def test_lambda_grids_past_the_budget_exit_before_any_row(capsys, monkeypatch, argv):
+    # 1e-300 used to run until killed, 1e-7 to end in MemoryError and
+    # 5e-324 in a numerical error
+    def no_row(d, p):
+        raise AssertionError(f"row computed at p = {p}")
+
+    monkeypatch.setattr(cli, "lambda_lower", no_row)
+    code, out, err = run_cli(capsys, "lambda", "--d", "2", *argv)
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert "memory budget" in err
+
+
+def test_lambda_rows_meet_the_budget(capsys, monkeypatch):
+    # a grid step of 0.05 makes 21 grid rows and the peak, 375 B each
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 375 * 22)
+    assert run_cli(capsys, "lambda", "--d", "2", "--grid", "0.05")[0] == EXIT_OK
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 375 * 22 - 1)
+    assert run_cli(capsys, "lambda", "--d", "2", "--grid", "0.05")[:2] == (EXIT_CAPACITY, "")
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-points", "8")
     assert code == EXIT_OK

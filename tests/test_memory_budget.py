@@ -94,6 +94,10 @@ LAYERS = {
                                     table((7, 2), SectionKind.PROTRUDING), 5),
     # three residues per column, 78 orbit columns
     "trace-residues-10": lambda: (transfer.full_trace_power, table((10,)), 8, orbits((10,))),
+    # each block is freed before the next is allocated: three residues per
+    # column in four blocks, and plain int64 in four blocks of 2^20 entries
+    "trace-blocks-10": lambda: (transfer.full_trace_power, table((10,)), 5),
+    "trace-blocks-11": lambda: (transfer.full_trace_power, table((11,)), 3),
 }
 
 

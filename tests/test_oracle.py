@@ -24,12 +24,6 @@ def test_resolve_boundary_names():
     assert resolve_boundary((3,), "protruding") == ("protrude",)
 
 
-def test_resolve_boundary_wrap_directions():
-    assert resolve_boundary((3, 2, 2), (1,)) == ("wrap", "protrude", "protrude")
-    assert resolve_boundary((3, 2, 2), (1, 3)) == ("wrap", "protrude", "wrap")
-    assert resolve_boundary((3, 2), ()) == ("protrude", "protrude")
-
-
 def test_resolve_boundary_explicit_modes():
     assert resolve_boundary((3, 2), ("tile", "wrap")) == ("tile", "wrap")
 
@@ -96,7 +90,7 @@ def test_odd_torus_has_no_dimer_cover():
 
 
 def test_wrapping_the_only_direction_matches_periodic():
-    assert count_covers((5,), (1,)) == count_covers((5,), "periodic")
+    assert count_covers((5,), ("wrap",)) == count_covers((5,), "periodic")
 
 
 def test_transpose_invariance():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from mdentropy import transfer
 from mdentropy.bounds import dimer_sectors
 from mdentropy.lattice import CapacityError, LatticeShape
 from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces
@@ -304,12 +305,29 @@ def test_trace_and_form_transpose_symmetry():
         assert form == trace
 
 
-@pytest.mark.parametrize("m", [11, 12])
-def test_single_layer_trace_over_several_blocks(m):
-    # only the empty mask meets itself: trace(M) = c(full); 2^m basis
-    # columns of 2^m entries fill several 2^20-entry blocks
-    table = torus_table((m,))
-    assert full_trace_power(table, 1) == table.count(table.full)
+def two_layer_trace(table):
+    """tr(M^2) = sum over U of 2^(n - |U|) c(U)^2.
+
+    (M^2)[S, S] sums c(U)^2 over the T disjoint from S, U the complement
+    of S | T, and each U comes from the 2^(n - |U|) ways to split its
+    complement between S and T.
+    """
+    n = table.shape.n
+    return sum(c * c << n - bin(u).count("1") for u, c in enumerate(table.counts))
+
+
+@pytest.mark.parametrize("dims,kind,dimer_only", [
+    # 2^n basis columns of 2^n entries fill 4 and 16 blocks of 2^20 entries
+    pytest.param((11,), SectionKind.TORUS, False, id="11"),
+    pytest.param((12,), SectionKind.TORUS, False, id="12"),
+    pytest.param((4,), SectionKind.TORUS, False, id="4-torus"),
+    pytest.param((5,), SectionKind.MIXED, False, id="5-mixed"),
+    pytest.param((3, 2), SectionKind.PROTRUDING, True, id="3x2-protruding-dimer-only"),
+    pytest.param((3, 2), SectionKind.MIXED, True, id="3x2-mixed-dimer-only"),
+])
+def test_two_layer_trace_closed_form(dims, kind, dimer_only):
+    table = CoverTable(LatticeShape(dims), kind, dimer_only)
+    assert full_trace_power(table, 2) == two_layer_trace(table)
 
 
 @pytest.mark.parametrize("q", [16, 40])
@@ -395,13 +413,17 @@ def test_dimer_only_box_forms(dims, layers, want, moduli):
     ((2, 2, 2, 1, 1, 1, 1, 1, 1), SectionKind.PROTRUDING, True),
 ])
 def test_forms_sweep_the_boundary_vector_half_the_layers(monkeypatch, dims, kind, residues):
-    # (M^e)[0, 0] = <M^a x, M^b x> with a = (e - 2) // 2 and b = e - 2 - a,
-    # so a form sweeps b times; a trace still sweeps its columns q times.
-    # The box stays in plain int64 up to e = 7; the padded protruding
-    # section, R > 2^32, runs on residues from e = 2
+    # traces and forms both close as <M^a c, M^b c> with a = p // 2 and
+    # b = p - a, so each block of columns is swept b = ceil(p / 2) times: a
+    # form of e layers at p = e - 2, a trace at p = q; tr(M^0) and tr(M)
+    # come off the table with no sweep.  The box stays in plain int64 up to
+    # p = 7; the padded protruding section, R > 2^32, runs on residues from
+    # p = 2
     table = CoverTable(LatticeShape(dims), kind)
-    row_sum = sum(table.counts)
+    n, row_sum = table.shape.n, sum(table.counts)
     assert (row_sum ** 2 >= 1 << 63) == (row_sum ** 7 >= 1 << 63) == residues
+    traces = [full_trace_power(table, q) for q in range(8)]
+    assert traces[:3] == [1 << n, table.count(table.full), two_layer_trace(table)]
     calls = []
     call = SweepOperator.__call__
     monkeypatch.setattr(SweepOperator, "__call__", lambda self, x: calls.append(x.shape) or call(self, x))
@@ -410,9 +432,14 @@ def test_forms_sweep_the_boundary_vector_half_the_layers(monkeypatch, dims, kind
         got = quadratic_form_count(table, layers)
         assert len(calls) == layers - 2 - (layers - 2) // 2
         assert got == _form_by_matvec(table, layers)
-    calls.clear()
-    full_trace_power(table, 3)
-    assert len(calls) == 3
+    # blocks of five columns' entries: the 64 basis columns of the box in 13
+    # blocks, the last of 4, and one column per block on 3 to 9 residues
+    monkeypatch.setattr(transfer, "_BLOCK_ENTRIES", 5 << n)
+    blocks = 1 << n if residues else 13
+    for q in range(8):
+        calls.clear()
+        assert full_trace_power(table, q) == traces[q]
+        assert len(calls) == ((q - q // 2) * blocks if q >= 2 else 0)
 
 
 def test_multi_modulus_orbit_weighted_trace_matches_the_object_reference():
