@@ -17,7 +17,7 @@ from .bounds import (
     section_quotient,
     transfer_log_radius,
 )
-from .lattice import Adjacency, AdjacencyMode, CapacityError, LatticeShape, build_adjacency
+from .lattice import Adjacency, CapacityError, LatticeShape, build_adjacency
 from .matchcount import CoverTable, SectionKind
 from .oracle import CoverCensus, enumerate_covers, run_verification_suite
 from .spectral import SpectralBracket, power_method
@@ -26,7 +26,6 @@ from .transfer import QuotientMatrix, build_quotient, weighted_symmetry_ok
 
 __all__ = [
     "Adjacency",
-    "AdjacencyMode",
     "CapacityError",
     "CoverCensus",
     "CoverTable",

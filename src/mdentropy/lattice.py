@@ -4,18 +4,18 @@ A cross-section is a box <m> = <m_1> x ... x <m_k> of lattice points.
 Points are indexed row-major with the first coordinate varying fastest,
 so subsets of the section are plain bitmasks over point indices.
 
-Adjacency comes in three modes: plain box edges, torus edges (every
-direction wraps around), and a mixed form that wraps the first direction
-only.  Wrapping a direction of extent 2 yields a single edge of
-multiplicity 2, because the two wrap-around dimer placements between the
-same pair of points are distinct configurations; extent 1 yields no edge
-in that direction.  Protrusion slots count, per point, the outward dimer
-placements available through the boundary faces of selected directions.
+Geometry is set per direction, by 1-based direction numbers.  Adjacency
+joins neighbors along every direction and closes the directions it is
+given to wrap around.  Wrapping a direction of extent 2 yields a single
+edge of multiplicity 2, because the two wrap-around dimer placements
+between the same pair of points are distinct configurations; extent 1
+yields no edge in that direction.  Protrusion slots count, per point, the
+outward dimer placements available through the boundary faces of the
+directions they are given.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from math import prod
 
@@ -35,12 +35,6 @@ def check_memory(nbytes: int, what: str) -> None:
     if nbytes > MEMORY_BUDGET:
         raise CapacityError(f"{what} needs {nbytes >> 20:,} MiB; "
                             f"the memory budget is {MEMORY_BUDGET >> 20:,} MiB")
-
-
-class AdjacencyMode(enum.Enum):
-    BOX = "box"
-    TORUS = "torus"
-    WRAP_FIRST = "wrap_first"
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ class LatticeShape:
 class Adjacency:
     """Undirected multigraph on section points; each unordered pair stored once."""
 
-    mode: AdjacencyMode
+    wrapped: tuple[int, ...]  # 1-based directions that wrap around, ascending
     n: int
     edges: tuple[tuple[int, int, int], ...]  # (i, j, multiplicity) with i < j
 
@@ -112,33 +106,35 @@ class Adjacency:
         return nbr
 
 
-def build_adjacency(shape: LatticeShape, mode: AdjacencyMode) -> Adjacency:
-    """Edges of the box, torus, or wrap-first multigraph on the section."""
+def _directions(shape: LatticeShape, directions) -> tuple[int, ...]:
+    """Distinct 1-based directions, ascending; ValueError outside the shape."""
+    dirs = tuple(sorted(set(int(k) for k in directions)))
+    for k in dirs:
+        if not 1 <= k <= len(shape.dims):
+            raise ValueError(f"direction {k} outside 1..{len(shape.dims)}")
+    return dirs
+
+
+def build_adjacency(shape: LatticeShape, wrapped) -> Adjacency:
+    """Edges of the section multigraph, wrapping the 1-based `wrapped` directions."""
+    wrapped = _directions(shape, wrapped)
     edges: list[tuple[int, int, int]] = []
     strides = shape.strides()
     for index in range(shape.n):
         coords = shape.point_coords(index)
         for k, m in enumerate(shape.dims):
             s = strides[k]
-            wraps = mode is AdjacencyMode.TORUS or (
-                mode is AdjacencyMode.WRAP_FIRST and k == 0
-            )
-            if wraps:
-                if m >= 3:
-                    if coords[k] < m:
-                        edges.append((index, index + s, 1))
-                    else:
-                        edges.append((index - (m - 1) * s, index, 1))
-                elif m == 2 and coords[k] == 1:
-                    edges.append((index, index + s, 2))
-                # m == 1: a wrapped dimer would cover one point twice
-            elif coords[k] < m:
-                edges.append((index, index + s, 1))
+            # a wrapped extent 2 doubles its one edge, a wrapped extent 1
+            # adds none: its dimer would cover one point twice
+            if coords[k] < m:
+                edges.append((index, index + s, 2 if m == 2 and k + 1 in wrapped else 1))
+            elif m >= 3 and k + 1 in wrapped:
+                edges.append((index - (m - 1) * s, index, 1))
     edges.sort()
     pairs = [(i, j) for i, j, _ in edges]
     if len(set(pairs)) != len(pairs):
         raise AssertionError("duplicate edge pair in adjacency construction")
-    return Adjacency(mode=mode, n=shape.n, edges=tuple(edges))
+    return Adjacency(wrapped=wrapped, n=shape.n, edges=tuple(edges))
 
 
 def protrusion_slots(shape: LatticeShape, directions) -> tuple[int, ...]:
@@ -147,16 +143,6 @@ def protrusion_slots(shape: LatticeShape, directions) -> tuple[int, ...]:
     Directions are 1-based.  A point on the low face of a direction gets one
     slot, on the high face another; extent 1 puts the point on both faces.
     """
-    dirs = sorted(set(int(k) for k in directions))
-    for k in dirs:
-        if not 1 <= k <= len(shape.dims):
-            raise ValueError(f"direction {k} outside 1..{len(shape.dims)}")
-    slots = [0] * shape.n
-    for index in range(shape.n):
-        coords = shape.point_coords(index)
-        for k in dirs:
-            if coords[k - 1] == 1:
-                slots[index] += 1
-            if coords[k - 1] == shape.dims[k - 1]:
-                slots[index] += 1
-    return tuple(slots)
+    dirs = _directions(shape, directions)
+    return tuple(sum((c[k - 1] == 1) + (c[k - 1] == shape.dims[k - 1]) for k in dirs)
+                 for c in map(shape.point_coords, range(shape.n)))

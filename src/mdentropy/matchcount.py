@@ -85,15 +85,12 @@ product bounds every count, and the partial sums, which only grow, never
 exceed the final counts.  Otherwise it is accumulated in Python integers
 (object dtype).  Either way `counts` is a list of Python integers.
 
-The four section kinds fix which dimers are admissible:
-
-    box         dimers inside the box only (tilings), no slots
-    torus       every direction wraps, no slots
-    mixed       first direction wraps, the remaining directions may protrude
-    protruding  no wrapping, every direction may protrude
-
-For a 1-D section the mixed kind has no remaining directions, so it
-coincides with the torus kind.
+A section kind fixes which dimers are admissible by the directions it
+wraps and those through whose faces dimers may protrude: the box kind
+neither (tilings), the torus kind wraps every direction, the mixed kind
+wraps the first and protrudes through the rest, and the protruding kind
+protrudes through every direction.  For a 1-D section the mixed kind has
+no remaining directions, so it coincides with the torus kind.
 """
 
 from __future__ import annotations
@@ -106,7 +103,6 @@ import numpy as np
 
 from .lattice import (
     Adjacency,
-    AdjacencyMode,
     LatticeShape,
     build_adjacency,
     check_memory,
@@ -130,20 +126,21 @@ class SectionKind(enum.Enum):
     PROTRUDING = "protruding"
 
 
+# (wrapped, protruding) 1-based directions of each kind, given its k directions
+_KIND_DIRECTIONS = {
+    SectionKind.BOX: lambda k: ((), ()),
+    SectionKind.TORUS: lambda k: (range(1, k + 1), ()),
+    SectionKind.MIXED: lambda k: ((1,), range(2, k + 1)),
+    SectionKind.PROTRUDING: lambda k: ((), range(1, k + 1)),
+}
+
+
 def section_config(shape: LatticeShape, kind: SectionKind) -> tuple[Adjacency, tuple[int, ...]]:
     """Adjacency and protrusion slots realizing a section kind."""
-    k = len(shape.dims)
-    if kind is SectionKind.BOX:
-        return build_adjacency(shape, AdjacencyMode.BOX), (0,) * shape.n
-    if kind is SectionKind.TORUS:
-        return build_adjacency(shape, AdjacencyMode.TORUS), (0,) * shape.n
-    if kind is SectionKind.MIXED:
-        adj = build_adjacency(shape, AdjacencyMode.WRAP_FIRST)
-        return adj, protrusion_slots(shape, range(2, k + 1))
-    if kind is SectionKind.PROTRUDING:
-        adj = build_adjacency(shape, AdjacencyMode.BOX)
-        return adj, protrusion_slots(shape, range(1, k + 1))
-    raise ValueError(f"unknown section kind {kind!r}")
+    if not isinstance(kind, SectionKind):
+        raise ValueError(f"unknown section kind {kind!r}")
+    wrapped, protruding = _KIND_DIRECTIONS[kind](len(shape.dims))
+    return build_adjacency(shape, wrapped), protrusion_slots(shape, protruding)
 
 
 def exact_dtype(bound: int):

@@ -1,12 +1,13 @@
 """Rigid motions of the section torus and orbits of subset masks.
 
-The motion group is generated by the unit translations along each axis,
-the reflections across each axis midpoint, and the transpositions of axes
-with equal extents.  Elements are stored as point image tuples and the
-group is the closure of the generators under composition.  Every motion
-preserves the torus adjacency (including edge multiplicities), so folding
-the torus transfer matrix over the induced action on subset masks keeps
-its spectral radius.
+The motion group is built from per-axis rules: each axis of extent m is
+shifted and possibly flipped, the 0-based coordinate c going to
+(s + f c) mod m with f = +-1, and then axes of equal extent are permuted.
+The group is the product of these choices, enumerated at once as numpy
+arrays of point images, one row per element, and returned as sorted point
+image tuples.  Every motion preserves the torus adjacency (including edge
+multiplicities), so folding the torus transfer matrix over the induced
+action on subset masks keeps its spectral radius.
 
 Orbits of the action on masks are labelled by their minimum: every mask
 is mapped to the smallest of its images under the group, in one numpy
@@ -16,78 +17,39 @@ array, and the masks that are their own minimum are the representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from .lattice import Adjacency, LatticeShape, check_memory
 
 
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-def compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-    """Composition acting on points: (g o h)(i) = g[h[i]]."""
-    return tuple(g[hi] for hi in h)
-
-
-def translation_perm(shape: LatticeShape, axis: int) -> tuple[int, ...]:
-    """Unit translation along a 0-based axis, wrapping around."""
-    images = []
-    for index in range(shape.n):
-        coords = list(shape.point_coords(index))
-        coords[axis] = coords[axis] % shape.dims[axis] + 1
-        images.append(shape.point_index(coords))
-    return tuple(images)
-
-
-def reflection_perm(shape: LatticeShape, axis: int) -> tuple[int, ...]:
-    """Reflection across the midpoint of a 0-based axis."""
-    images = []
-    for index in range(shape.n):
-        coords = list(shape.point_coords(index))
-        coords[axis] = shape.dims[axis] + 1 - coords[axis]
-        images.append(shape.point_index(coords))
-    return tuple(images)
-
-
-def transposition_perm(shape: LatticeShape, a: int, b: int) -> tuple[int, ...]:
-    """Swap of two 0-based axes of equal extent."""
-    if shape.dims[a] != shape.dims[b]:
-        raise ValueError("can only transpose axes of equal extent")
-    images = []
-    for index in range(shape.n):
-        coords = list(shape.point_coords(index))
-        coords[a], coords[b] = coords[b], coords[a]
-        images.append(shape.point_index(coords))
-    return tuple(images)
-
-
 def generate_motion_group(shape: LatticeShape) -> tuple[tuple[int, ...], ...]:
-    """Closure of translations, reflections, and equal-axis transpositions."""
-    k = len(shape.dims)
-    gens = {identity_perm(shape.n)}
-    for axis in range(k):
-        if shape.dims[axis] > 1:
-            gens.add(translation_perm(shape, axis))
-            gens.add(reflection_perm(shape, axis))
-    for a in range(k):
-        for b in range(a + 1, k):
-            if shape.dims[a] == shape.dims[b]:
-                gens.add(transposition_perm(shape, a, b))
-    # breadth-first closure under composition
-    elements = set(gens)
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in gens:
-                gh = compose(g, h)
-                if gh not in elements:
-                    elements.add(gh)
-                    new.append(gh)
-        frontier = new
-    return tuple(sorted(elements))
+    """Every rigid motion of the section torus, as sorted point image tuples.
+
+    On each axis of extent m the 0-based coordinate c goes to (s + f c) mod m
+    for a shift s and a flip f = +-1; then the coordinates move to a
+    permutation of the axes of equal extent.  Axes of extent 1 stay put,
+    since moving them moves no point.
+    """
+    dims, strides = shape.dims, shape.strides()
+    points = np.arange(shape.n)
+    # images of the coordinate along each axis, one row per (s, f); below
+    # extent 3 every flip is a shift
+    maps = [np.array([(s + f * np.arange(m)) % m for f in ((1, -1) if m > 2 else (1,))
+                      for s in range(m)]) for m in dims]
+    axes = [a for a, m in enumerate(dims) if m > 1]
+    images = []
+    for order in permutations(axes):
+        if any(dims[a] != dims[b] for a, b in zip(axes, order)):
+            continue
+        image = np.zeros((1, shape.n), dtype=np.int64)
+        for a, b in zip(axes, order):
+            moved = maps[a][:, points // strides[a] % dims[a]] * strides[b]
+            image = (image[:, None] + moved[None]).reshape(-1, shape.n)
+        images.append(image)
+    # sorted in Python: np.unique(axis=0) loads numpy.ma, about 1 MB of RSS
+    return tuple(sorted(set(map(tuple, np.concatenate(images).tolist()))))
 
 
 def apply_to_mask(perm: tuple[int, ...], mask: int) -> int:

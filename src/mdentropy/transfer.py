@@ -37,23 +37,26 @@ gives the quotient
 
 which keeps the spectral radius of the full matrix and is self-adjoint
 under the orbit-size weighted inner product: w_a * q[a][b] = w_b * q[b][a].
+M(gS, gT) = c(g(full - S - T)), so a group preserves M exactly when the
+counts are constant on its orbits; the quotient and the orbit-weighted
+trace refuse other orbits with ValueError.
 
 The quotient and the float64 sparse form of the full matrix are kept as
 references for the sweep's products: both read the cover counts entry by
 entry through `disjoint_pairs`, which lists every pair (S, T) of
 disjoint masks for given rows S in bounded blocks of numpy arrays, about
 3^n / |G| pairs for the quotient and 3^n for the full matrix.  The
-quotient adds counts into (representative, orbit of T) in int64 when the
-sum of all counts, which bounds every row sum, is below 2^63, and in
-Python integers otherwise; either way its entries must stay below 2^53,
-since they are iterated in float64, and so must every count the sparse
-form stores.  `full_matrix_sparse` is the module's only use of scipy and
-imports it when called, so the sweep and the quotient load without it.
+quotient adds counts into (representative, orbit of T) in int64, and
+refuses a table whose counts sum to 2^63 or more, since that sum bounds
+every row sum (torus tables inside the budget sum to 22-31 bits).  Its
+entries must stay below 2^53, since they are iterated in float64, and so
+must every count the sparse form stores.  `full_matrix_sparse` is the
+module's only use of scipy and imports it when called, so the sweep and
+the quotient load without it.
 """
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
@@ -126,31 +129,39 @@ def disjoint_pairs(rows: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.nd
             yield np.repeat(index, 1 << k), t.ravel()
 
 
+def _check_orbits(table: CoverTable, orbits: OrbitSpace) -> None:
+    """ValueError unless the counts are constant on the orbits, so their group preserves M."""
+    if orbits.n != table.shape.n:
+        raise ValueError("orbit space and cover table disagree on point count")
+    counts = np.array(table.counts, dtype=exact_dtype(max(table.counts)))
+    if not np.array_equal(counts[orbits.reps][orbits.orbit_of], counts):
+        raise ValueError("cover counts are not constant on the orbits, "
+                         "so their group does not preserve the transfer matrix")
+
+
 def build_quotient(table: CoverTable, orbits: OrbitSpace) -> QuotientMatrix:
     """Fold the full transfer matrix of `table` over mask orbits.
 
     The orbits must come from a group of automorphisms of the table's
-    matrix; the rigid motions of the section torus qualify for the torus
-    kind, which is the kind spectral radii are computed from.
+    matrix (ValueError otherwise); the rigid motions of the section torus
+    qualify for the torus kind, which is the kind spectral radii are
+    computed from.  CapacityError if the counts sum to 2^63 or more.
 
-    Predicts e * m^2 + 8 * 2^n + 64 * max(2^16, 2^n) bytes for m orbits:
-    entries of e = 8 B in int64, or 16 + s for Python ints of s bytes and
-    the int64 copy; the count array; a `disjoint_pairs` block.
+    Predicts 8 * m^2 + 8 * 2^n + 64 * max(2^16, 2^n) bytes for m orbits:
+    the int64 entries, the count array and a `disjoint_pairs` block.
     """
     n = table.shape.n
-    if orbits.n != n:
-        raise ValueError("orbit space and cover table disagree on point count")
     # an entry is at most its row sum, and row 0's, the sum of all counts,
     # is the largest
-    total = sum(table.counts)
-    dtype = exact_dtype(total)
-    entry = 8 if dtype is np.int64 else 16 + sys.getsizeof(total)
-    check_memory(entry * orbits.size ** 2 + (8 << n) + 64 * max(_PAIR_BLOCK, 1 << n),
+    if sum(table.counts) >> 63:
+        raise CapacityError("cover counts sum past int64 range")
+    check_memory(8 * orbits.size ** 2 + (8 << n) + 64 * max(_PAIR_BLOCK, 1 << n),
                  f"a {orbits.size}-orbit quotient")
-    counts = np.array(table.counts, dtype=dtype)
+    _check_orbits(table, orbits)
+    counts = np.array(table.counts, dtype=np.int64)
     reps = np.array(orbits.reps, dtype=np.int32)
     size = orbits.size
-    entries = np.zeros((size, size), dtype=dtype)
+    entries = np.zeros((size, size), dtype=np.int64)
     for index, t in disjoint_pairs(reps, n):
         np.add.at(entries.reshape(-1), index.astype(np.intp) * size + orbits.orbit_of[t],
                   counts[table.full ^ (reps[index] | t)])
@@ -160,7 +171,7 @@ def build_quotient(table: CoverTable, orbits: OrbitSpace) -> QuotientMatrix:
         dims=table.shape.dims,
         kind=table.kind.value,
         dimer_only=table.dimer_only,
-        entries=entries.astype(np.int64, copy=False),
+        entries=entries,
         weights=np.asarray(orbits.sizes, dtype=np.int64),
     )
 
@@ -279,7 +290,8 @@ def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None
 
     With an orbit space supplied, only one diagonal entry per orbit is
     computed and weighted by the orbit size; the diagonal of a power is
-    constant on orbits because the group conjugates the matrix to itself.
+    constant on orbits because the group conjugates the matrix to itself,
+    and orbits of a group that does not are refused with ValueError.
     tr(M) = c(full), as only the empty mask, an orbit of its own, meets
     itself; from q = 2 the basis columns go to `_close` in blocks of
     `_plan`, whose time `TRACE_TIME_MAX_POINTS` bounds.
@@ -289,8 +301,8 @@ def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None
         raise CapacityError(f"exact traces take too long past {TRACE_TIME_MAX_POINTS} points")
     if q < 0:
         raise ValueError("power must be nonnegative")
-    if orbits is not None and orbits.n != n:
-        raise ValueError("orbit space and cover table disagree on point count")
+    if orbits is not None:
+        _check_orbits(table, orbits)
     if q == 0:
         return 1 << n
     if q == 1:

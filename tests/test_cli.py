@@ -459,6 +459,7 @@ RECORDED_STDOUT = {
     "table_2_12.csv": ("table", "--which", "2", "--max-size", "12"),
     "bounds_h3.csv": ("bounds", "--target", "h3", "--upper", "2,2", "--lower", "2,1,1,1,2"),
     "beta_4_3_dimer.csv": ("beta", "--dims", "4,3", "--dimer-only"),
+    "beta_3_2_2.csv": ("beta", "--dims", "3,2,2"),
     "verify_20.txt": ("verify", "--max-points", "20"),
 }
 

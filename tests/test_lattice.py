@@ -2,7 +2,6 @@ import pytest
 
 from mdentropy.lattice import (
     Adjacency,
-    AdjacencyMode,
     CapacityError,
     LatticeShape,
     build_adjacency,
@@ -38,42 +37,61 @@ def test_shape_validation():
 
 
 def test_box_adjacency_path():
-    adj = build_adjacency(LatticeShape((3,)), AdjacencyMode.BOX)
+    adj = build_adjacency(LatticeShape((3,)), ())
     assert adj.edges == ((0, 1, 1), (1, 2, 1))
 
 
 def test_torus_adjacency_ring():
-    adj = build_adjacency(LatticeShape((4,)), AdjacencyMode.TORUS)
+    adj = build_adjacency(LatticeShape((4,)), [1])
     assert adj.edges == ((0, 1, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1))
 
 
 def test_torus_extent_two_doubles_edge():
-    adj = build_adjacency(LatticeShape((2,)), AdjacencyMode.TORUS)
+    adj = build_adjacency(LatticeShape((2,)), [1])
     assert adj.edges == ((0, 1, 2),)
 
 
 def test_torus_extent_one_has_no_edge():
-    adj = build_adjacency(LatticeShape((1,)), AdjacencyMode.TORUS)
+    adj = build_adjacency(LatticeShape((1,)), [1])
     assert adj.edges == ()
 
 
 def test_wrap_first_wraps_only_first_axis():
-    adj = build_adjacency(LatticeShape((3, 3)), AdjacencyMode.WRAP_FIRST)
+    adj = build_adjacency(LatticeShape((3, 3)), [1])
     pairs = {(i, j) for i, j, _ in adj.edges}
     assert (0, 2) in pairs      # wrap along axis 1
     assert (0, 6) not in pairs  # no wrap along axis 2
     assert (0, 3) in pairs
+    assert adj.wrapped == (1,)
+
+
+def test_wrapping_the_second_direction_only():
+    adj = build_adjacency(LatticeShape((3, 3)), [2])
+    pairs = {(i, j) for i, j, _ in adj.edges}
+    assert (0, 6) in pairs and (0, 2) not in pairs
+    assert adj.wrapped == (2,)
+
+
+def test_wrapped_directions_are_validated_like_protrusion_directions():
+    shape = LatticeShape((3, 2))
+    assert build_adjacency(shape, [2, 1, 2]).wrapped == (1, 2)
+    assert build_adjacency(shape, range(1, 3)) == build_adjacency(shape, (1, 2))
+    for directions in ([0], [3], [1, 3]):
+        with pytest.raises(ValueError, match="direction"):
+            build_adjacency(shape, directions)
+        with pytest.raises(ValueError, match="direction"):
+            protrusion_slots(shape, directions)
 
 
 def test_grid_edge_count():
-    adj = build_adjacency(LatticeShape((4, 4)), AdjacencyMode.BOX)
+    adj = build_adjacency(LatticeShape((4, 4)), ())
     assert len(adj.edges) == 2 * 3 * 4
-    torus = build_adjacency(LatticeShape((4, 4)), AdjacencyMode.TORUS)
+    torus = build_adjacency(LatticeShape((4, 4)), [1, 2])
     assert len(torus.edges) == 2 * 4 * 4
 
 
 def test_neighbor_lists_are_symmetric():
-    adj = build_adjacency(LatticeShape((3, 2)), AdjacencyMode.TORUS)
+    adj = build_adjacency(LatticeShape((3, 2)), [1, 2])
     nbr = adj.neighbor_lists()
     for i, j, mult in adj.edges:
         assert (j, mult) in nbr[i]
@@ -103,7 +121,7 @@ def test_protrusion_slots_validates_direction():
 
 
 def test_adjacency_is_frozen():
-    adj = build_adjacency(LatticeShape((2,)), AdjacencyMode.BOX)
+    adj = build_adjacency(LatticeShape((2,)), ())
     assert isinstance(adj, Adjacency)
     with pytest.raises(AttributeError):
         adj.n = 5

@@ -23,6 +23,23 @@ def test_line_counts_match_closed_forms():
         assert full_count((m,), SectionKind.PROTRUDING) == protruding
 
 
+@pytest.mark.parametrize("kind", ["torus", None, []], ids=["name", "none", "list"])
+def test_unknown_section_kinds_are_value_errors(kind):
+    with pytest.raises(ValueError, match="unknown section kind"):
+        matchcount.section_config(LatticeShape((3,)), kind)
+
+
+def test_section_kinds_wrap_and_protrude_per_direction():
+    shape = LatticeShape((3, 3))
+    wrapped = {kind: matchcount.section_config(shape, kind)[0].wrapped for kind in SectionKind}
+    assert wrapped == {SectionKind.BOX: (), SectionKind.TORUS: (1, 2),
+                       SectionKind.MIXED: (1,), SectionKind.PROTRUDING: ()}
+    slots = {kind: matchcount.section_config(shape, kind)[1] for kind in SectionKind}
+    assert slots[SectionKind.BOX] == slots[SectionKind.TORUS] == (0,) * 9
+    assert slots[SectionKind.MIXED] == (1, 1, 1, 0, 0, 0, 1, 1, 1)
+    assert slots[SectionKind.PROTRUDING] == (2, 1, 2, 1, 0, 1, 2, 1, 2)
+
+
 def test_two_point_section_counts():
     assert full_count((2,), SectionKind.BOX) == 2
     assert full_count((2,), SectionKind.TORUS) == 3

@@ -18,7 +18,7 @@ from mdentropy import lattice
 from mdentropy.lattice import MEMORY_BUDGET, CapacityError, LatticeShape, check_memory
 from mdentropy.matchcount import CoverTable, SectionKind
 from mdentropy.spectral import power_method
-from mdentropy.symmetry import compute_orbits, generate_motion_group, identity_perm
+from mdentropy.symmetry import compute_orbits, generate_motion_group
 
 MIB = 1 << 20
 
@@ -114,7 +114,7 @@ def test_predicted_bytes_bound_the_traced_peak(predictions, case):
 @pytest.fixture(scope="module")
 def identity_quotient_inputs():
     # one orbit per mask: 2^17 orbits, a 128 GiB dense quotient
-    return table((17,)), compute_orbits((identity_perm(17),), 17)
+    return table((17,)), compute_orbits((tuple(range(17)),), 17)
 
 
 REJECTED = {
@@ -124,7 +124,7 @@ REJECTED = {
     "full_matrix_sparse-16": lambda inputs: (transfer.full_matrix_sparse, table((16,))),
     "identity-quotient-17": lambda inputs: (transfer.build_quotient, *inputs),
     # one orbit per mask, so Burnside's term alone is 100 * 2^25 bytes
-    "identity-orbits-25": lambda inputs: (compute_orbits, (identity_perm(25),), 25),
+    "identity-orbits-25": lambda inputs: (compute_orbits, (tuple(range(25)),), 25),
     # the entries' size is predicted from bit lengths, not by computing R^999999
     "form-12-million-layers": lambda inputs: (transfer.quadratic_form_count, table((12,)),
                                               1_000_000),

@@ -4,19 +4,14 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mdentropy.lattice import AdjacencyMode, LatticeShape, build_adjacency
+from mdentropy.lattice import LatticeShape, build_adjacency
 from mdentropy.matchcount import CoverTable, SectionKind
 from mdentropy.symmetry import (
     apply_to_mask,
     burnside_orbit_count,
-    compose,
     compute_orbits,
     generate_motion_group,
-    identity_perm,
     is_adjacency_automorphism,
-    reflection_perm,
-    translation_perm,
-    transposition_perm,
 )
 
 GROUP_ORDERS = {
@@ -28,44 +23,66 @@ GROUP_ORDERS = {
     (3, 2): 12,
     (3, 3): 72,
     (4, 4): 128,
+    (2, 2, 2): 48,
+    (3, 2, 2): 48,
+    (2, 1, 3): 12,
+    (3, 3, 2): 144,
+    (2, 2, 2, 2): 384,
 }
 
 
-@pytest.mark.parametrize("dims,order", sorted(GROUP_ORDERS.items()))
+# 1-D and 2-D shapes first, in their sorted order, then the higher ones
+@pytest.mark.parametrize("dims,order", sorted(GROUP_ORDERS.items(),
+                                              key=lambda item: (len(item[0]) > 2, item[0])))
 def test_group_orders(dims, order):
     assert len(generate_motion_group(LatticeShape(dims))) == order
 
 
 def test_group_closure_and_inverses():
-    group = set(generate_motion_group(LatticeShape((3, 2))))
-    ident = identity_perm(6)
-    assert ident in group
-    for g in group:
-        assert {compose(g, h) for h in group} == group
-        assert any(compose(g, h) == ident for h in group)
+    for dims in [(3, 2), (2, 2, 2), (2, 1, 3)]:
+        shape = LatticeShape(dims)
+        group = set(generate_motion_group(shape))
+        ident = tuple(range(shape.n))
+        assert ident in group
+        for g in group:
+            products = {tuple(g[i] for i in h) for h in group}
+            assert products == group
+            assert ident in products
 
 
-def test_translation_orders():
-    shape = LatticeShape((4, 3))
-    for axis in (0, 1):
-        t = translation_perm(shape, axis)
-        g = t
-        for _ in range(shape.dims[axis] - 1):
-            g = compose(t, g)
-        assert g == identity_perm(shape.n)
+def closure_of_generators(shape):
+    """Reference group: unit translations, reflections and equal-extent swaps, closed."""
+    def moved(rule):
+        return tuple(shape.point_index(rule(list(shape.point_coords(i)))) for i in range(shape.n))
+
+    def shift(axis):
+        return lambda c: c[:axis] + [c[axis] % shape.dims[axis] + 1] + c[axis + 1:]
+
+    def flip(axis):
+        return lambda c: c[:axis] + [shape.dims[axis] + 1 - c[axis]] + c[axis + 1:]
+
+    def swap(a, b):
+        return lambda c: [c[{a: b, b: a}.get(k, k)] for k in range(len(c))]
+
+    k = len(shape.dims)
+    gens = [moved(rule(axis)) for axis in range(k) for rule in (shift, flip)]
+    gens += [moved(swap(a, b)) for a in range(k) for b in range(a + 1, k)
+             if shape.dims[a] == shape.dims[b]]
+    group, frontier = {tuple(range(shape.n))}, [tuple(range(shape.n))]
+    while frontier:
+        frontier = [g for g in {tuple(g[i] for i in h) for g in frontier for h in gens}
+                    if g not in group]
+        group.update(frontier)
+    return tuple(sorted(group))
 
 
-def test_reflection_is_involution():
-    shape = LatticeShape((5, 2))
-    for axis in (0, 1):
-        r = reflection_perm(shape, axis)
-        assert compose(r, r) == identity_perm(shape.n)
-
-
-def test_transposition_requires_equal_extents():
-    shape = LatticeShape((3, 2))
-    with pytest.raises(ValueError):
-        transposition_perm(shape, 0, 1)
+@pytest.mark.parametrize("dims", [(1,), (2,), (5,), (12,), (1, 1), (2, 1), (2, 2), (3, 2),
+                                  (3, 3), (4, 4), (6, 4), (2, 2, 2), (3, 2, 2), (2, 1, 3),
+                                  (2, 2, 2, 2)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_group_is_the_closure_of_its_generators(dims):
+    shape = LatticeShape(dims)
+    assert generate_motion_group(shape) == closure_of_generators(shape)
 
 
 def test_apply_to_mask_preserves_popcount():
@@ -79,9 +96,9 @@ def test_apply_to_mask_preserves_popcount():
 
 
 def test_motions_preserve_torus_adjacency():
-    for dims in [(4,), (2,), (3, 2), (2, 2), (3, 3)]:
+    for dims in [(4,), (2,), (3, 2), (2, 2), (3, 3), (2, 2, 2), (3, 2, 2), (2, 1, 3)]:
         shape = LatticeShape(dims)
-        adj = build_adjacency(shape, AdjacencyMode.TORUS)
+        adj = build_adjacency(shape, range(1, len(dims) + 1))
         for g in generate_motion_group(shape):
             assert is_adjacency_automorphism(g, adj)
 
@@ -89,15 +106,15 @@ def test_motions_preserve_torus_adjacency():
 def test_translation_is_not_a_box_automorphism():
     # the box loses its edges at the seam, so only the torus kind may be folded
     shape = LatticeShape((3,))
-    box = build_adjacency(shape, AdjacencyMode.BOX)
-    assert not is_adjacency_automorphism(translation_perm(shape, 0), box)
-    assert is_adjacency_automorphism(reflection_perm(shape, 0), box)
+    box = build_adjacency(shape, ())
+    assert not is_adjacency_automorphism((1, 2, 0), box)
+    assert is_adjacency_automorphism((2, 1, 0), box)
 
 
 def test_box_cover_counts_not_translation_invariant():
     # tilings of {0, 2} (two isolated points) vs its translate {0, 1} (an edge)
     table = CoverTable(LatticeShape((3,)), SectionKind.BOX)
-    t = translation_perm(LatticeShape((3,)), 0)
+    t = (1, 2, 0)
     mask = 0b101
     assert table.count(mask) == 1
     assert table.count(apply_to_mask(t, mask)) == 2
@@ -157,6 +174,16 @@ def test_known_one_dim_orbit_counts():
         assert orbits.size == count
 
 
+@pytest.mark.parametrize("dims,count", [((2, 2, 2), 22), ((3, 2, 2), 158), ((2, 1, 3), 13),
+                                        ((4, 2, 2), 1459), ((3, 3, 2), 2324),
+                                        ((2, 2, 2, 2), 402)])
+def test_known_higher_dim_orbit_counts(dims, count):
+    shape = LatticeShape(dims)
+    group = generate_motion_group(shape)
+    assert burnside_orbit_count(group, shape.n) == count
+    assert compute_orbits(group, shape.n).size == count
+
+
 def walked_orbits(group, n):
     """Reference orbits: walk masks upward, each unseen mask seeds its image set."""
     orbit_of = [None] * (1 << n)
@@ -179,13 +206,14 @@ def motion_orbit_case(dims):
 def protruding_reflections_case():
     # the two-element group folded in test_transfer's 20-axis protruding case
     shape = LatticeShape((12,) + (1,) * 19)
-    return (identity_perm(shape.n), reflection_perm(shape, 0)), shape.n
+    assert shape.n == 12
+    return (tuple(range(12)), tuple(range(11, -1, -1))), shape.n
 
 
 ORBIT_CASES = {
     **{str(dims): partial(motion_orbit_case, dims)
        for dims in [(1,), (2,), (5,), (3, 2), (2, 2, 2), (3, 3), (4, 4)]},
-    "identity-7": lambda: ((identity_perm(7),), 7),
+    "identity-7": lambda: ((tuple(range(7)),), 7),
     "protruding-reflections": protruding_reflections_case,
 }
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import gcd, prod
 
@@ -10,12 +11,7 @@ from mdentropy import transfer
 from mdentropy.bounds import dimer_sectors
 from mdentropy.lattice import CapacityError, LatticeShape
 from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces
-from mdentropy.symmetry import (
-    compute_orbits,
-    generate_motion_group,
-    identity_perm,
-    reflection_perm,
-)
+from mdentropy.symmetry import compute_orbits, generate_motion_group
 from mdentropy.transfer import (
     TRACE_TIME_MAX_POINTS,
     QuotientMatrix,
@@ -71,7 +67,7 @@ def test_trivial_group_quotient_is_the_full_matrix():
         for dimer_only in (False, True):
             table = torus_table(dims, dimer_only)
             n = table.shape.n
-            qm = build_quotient(table, compute_orbits((identity_perm(n),), n))
+            qm = build_quotient(table, compute_orbits((tuple(range(n)),), n))
             assert qm.size == table.full + 1
             assert np.array_equal(qm.to_dense(), dense_full(table))
             assert qm.weights.tolist() == [1] * qm.size
@@ -566,16 +562,55 @@ def test_pair_enumerator_over_some_rows():
 
 def test_reference_entries_past_float_range_are_capacity_errors():
     # extent-1 directions give each point two protrusion slots, so the
-    # counts pass 2^63 and only a Python-integer path reaches the check
+    # counts pass 2^63
     shape = LatticeShape((12,) + (1,) * 19)
     table = CoverTable(shape, SectionKind.PROTRUDING)
     assert max(table.counts) >= 1 << 63
     with pytest.raises(CapacityError):
         full_matrix_sparse(table)
     # the box reflection along the first axis preserves the protruding matrix
-    group = (identity_perm(shape.n), reflection_perm(shape, 0))
-    with pytest.raises(CapacityError):
-        build_quotient(table, compute_orbits(group, shape.n))
+    orbits = compute_orbits((tuple(range(12)), tuple(range(11, -1, -1))), shape.n)
+    # the counts sum past 2^63, so the quotient refuses before it allocates
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="int64"):
+            build_quotient(table, orbits)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dims,kind", [((4,), SectionKind.BOX), ((4,), SectionKind.PROTRUDING),
+                                       ((3, 2), SectionKind.BOX),
+                                       ((3, 2), SectionKind.PROTRUDING)],
+                         ids=["box-4", "protruding-4", "box-3x2", "protruding-3x2"])
+def test_torus_orbits_do_not_fold_tables_they_do_not_preserve(dims, kind):
+    # translations move the seams of the box and of the protrusion faces:
+    # folded, box (4,) gave tr(M^2) = 204 against 185, protruding (4,)
+    # 645 against 693 and box (3, 2) 4949 against 4692
+    shape = LatticeShape(dims)
+    table = CoverTable(shape, kind)
+    orbits = compute_orbits(generate_motion_group(shape), shape.n)
+    for q in (0, 1, 2):
+        with pytest.raises(ValueError, match="not constant on the orbits"):
+            full_trace_power(table, q, orbits)
+    with pytest.raises(ValueError, match="not constant on the orbits"):
+        build_quotient(table, orbits)
+
+
+@pytest.mark.parametrize("dims,kind", [((4,), SectionKind.TORUS), ((3, 2), SectionKind.TORUS),
+                                       ((3, 2), SectionKind.MIXED)],
+                         ids=["torus-4", "torus-3x2", "mixed-3x2"])
+@pytest.mark.parametrize("dimer_only", [False, True])
+def test_groups_that_preserve_the_table_fold_it(dims, kind, dimer_only):
+    shape = LatticeShape(dims)
+    table = CoverTable(shape, kind, dimer_only)
+    # the mixed (3, 2) section protrudes along its extent-2 axis, whose shift
+    # is its flip, so every torus motion preserves it too
+    orbits = compute_orbits(generate_motion_group(shape), shape.n)
+    for q in (2, 3):
+        assert full_trace_power(table, q, orbits) == full_trace_power(table, q)
+    assert weighted_symmetry_ok(build_quotient(table, orbits))
 
 
 @pytest.mark.parametrize("kind", list(SectionKind), ids=lambda kind: kind.value)
