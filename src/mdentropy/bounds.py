@@ -22,9 +22,10 @@ through the site sweep of `matchcount`, with no orbits or matrix built.
 A monomer-dimer operator is irreducible (M(0, T) >= 1, M(0, 0) >= 1);
 a dimer-only one is block-diagonal over the sectors of `dimer_sectors`
 and bracketed per sector, through M^2 on odd sections.  `check_section`
-checks a bracket's bytes against the memory budget first; 24 points
-fit.  `h2_bounds` and `h3_bounds` check every section their formulas
-name before the first bracket, so one section past capacity fails fast.
+checks a bracket's bytes against the memory budget first: 25 points fit
+for monomer-dimer covers, 24 for dimer-only ones.  `h2_bounds` and
+`h3_bounds` check every section their formulas name before the first
+bracket, so one section past capacity fails fast.
 
 Closed-form route: the permanental lower bound for r-regular bipartite
 graphs gives, per site, the concave function lambda_lower(d, p) below the
@@ -83,20 +84,22 @@ def _quotient_bytes(n: int, m: int) -> int:
     return 24 * m * m + 100 * m + (160 << n) + (1 << 22)  # see section_quotient
 
 
-def check_section(dims) -> LatticeShape:
+def check_section(dims, dimer_only: bool = False) -> LatticeShape:
     """Raise CapacityError unless a section's bracket fits the memory budget.
 
     Returns the section's shape, checked first against the 64-point mask
-    limit.  One prediction, 60 B per mask plus 1 MiB, covers both kinds:
-    three float64 vectors of 2^n (iterate, scratch, and the sweep
+    limit.  A monomer-dimer bracket is predicted at 30 B per mask plus 1
+    MiB: three float64 vectors of 2^n (iterate, scratch, and the sweep
     operator's buffer, which holds the image) and the half-size products
-    of doubled edges, plus, for dimer-only sectors, a gather buffer, the
-    int64 sort order, int8 labels and their intp copy in each spread of
-    the sector norms, and the second operator of an odd section's M^2
-    step.  Traced peaks per mask: 24-27 B, 49-50 B dimer-only, 57-58 B odd.
+    of doubled edges.  A dimer-only one, at 60 B per mask plus 1 MiB, adds
+    a gather buffer, the int64 sort order, int8 labels and their intp
+    copy in each spread of the sector norms, and the second operator of
+    an odd section's M^2 step.  Traced peaks per mask: 24-27 B, 49-50 B
+    dimer-only, 57-58 B odd.
     """
     shape = _section_shape(_canonical(dims))
-    check_memory((60 << shape.n) + (1 << 20), f"the sweep bracket of section {shape.dims}")
+    check_memory(((60 if dimer_only else 30) << shape.n) + (1 << 20),
+                 f"the sweep bracket of section {shape.dims}")
     return shape
 
 
@@ -177,7 +180,7 @@ def _log_radius(dims: tuple[int, ...], dimer_only: bool, tol: float, shift: floa
     if any(m == 0 for m in dims):
         points = prod(m for m in dims if m) if any(dims) else 1
         return _exact_log_bracket(points * math.log(2.0), shift)
-    shape = check_section(dims)
+    shape = check_section(dims, dimer_only)
     pieces = SectionPieces(shape, SectionKind.TORUS, dimer_only)
     size = pieces.full + 1
     apply, sectors, power = SweepOperator(pieces, (size,), np.float64), None, 1
@@ -219,7 +222,7 @@ def _section_brackets(sections, dimer_only: bool, tol: float) -> list[SpectralBr
     """
     for dims in sections:
         if all(dims):
-            check_section(dims)
+            check_section(dims, dimer_only)
     return [transfer_log_radius(_canonical(dims), dimer_only, tol) for dims in sections]
 
 

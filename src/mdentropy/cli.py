@@ -246,7 +246,7 @@ def cmd_table(args) -> int:
     dimer_only = args.which in (2, 4)
     shapes = [s for s in TABLE_SHAPES[args.which] if prod(s) <= args.max_size]
     for s in shapes:
-        check_section(s)
+        check_section(s, dimer_only)
     results = [_beta_row(s, dimer_only, args.tol, args.shift, args.max_iters)
                for s in shapes]
     rows = [{c: row[c] for c in TABLE_COLUMNS} for row in results]

@@ -66,20 +66,8 @@ class LatticeShape:
             s *= m
         return tuple(out)
 
-    def point_index(self, coords) -> int:
-        """Index of the point with 1-based coordinates."""
-        coords = tuple(coords)
-        if len(coords) != len(self.dims):
-            raise ValueError(f"expected {len(self.dims)} coordinates, got {coords}")
-        index = 0
-        for c, m, s in zip(coords, self.dims, self.strides()):
-            if not 1 <= c <= m:
-                raise ValueError(f"coordinate {c} outside 1..{m}")
-            index += (c - 1) * s
-        return index
-
     def point_coords(self, index: int) -> tuple[int, ...]:
-        """1-based coordinates of a point index; inverse of point_index."""
+        """1-based coordinates of a point index, the first varying fastest."""
         if not 0 <= index < self.n:
             raise ValueError(f"point index {index} outside 0..{self.n - 1}")
         coords = []

@@ -1,28 +1,29 @@
 """Shifted power iteration with certified spectral-radius brackets.
 
-For a nonnegative matrix A that is self-adjoint under a weighted inner
-product <x, y> = sum_i w_i x_i y_i, iterating y = (A + rI) x from a
-positive vector gives at every step the two-sided bound
+For a nonnegative matrix A and a positive vector x, the Collatz-Wielandt
+bounds
 
-    min_i y_i / x_i  <=  rho(A) + r  <=  max_i y_i / x_i
+    min_i (A x)_i / x_i  <=  rho(A)  <=  max_i (A x)_i / x_i
 
-with the minimum nondecreasing and the maximum nonincreasing over
-iterations, so the running bracket certifies the radius no matter where
+hold with no inner product at all.  Iterating y = (A + rI) x from the
+all-ones vector keeps x positive, so the running maximum of the lower
+ends and minimum of the upper ends certify rho(A) + r no matter where
 the iteration stops.  The shift r > 0 removes the period-two oscillation
 of bipartite matrices.  On a direct sum, a single positive vector would
 pin the lower ratio to the weakest block forever; but each block's
 ratios bracket its own radius, and the largest of those is rho(A), so
 the bracket is [max of the blocks' lower ends, max of their upper ends].
+The estimate is the Rayleigh quotient <x, y> / <x, x>, a mean of the
+ratios y_i / x_i with weights x_i^2, so it lies inside the bracket.
 
-Both entry points run one driver.  `power_method` takes the matrix
-itself (dense or sparse) and labels its blocks, the connected
-components, with scipy, imported when it is called.
-`operator_power_method` takes an operator given only by its product,
-such as the site sweep of the full transfer matrix, and block labels
-from the caller.  All blocks step together over one vector, with ratio
-extremes, inner products and norms reduced per block, so `iterations`
-counts joint steps; the vector returned is zero outside the block of
-the largest upper end.
+`operator_power_method` is the one driver.  It takes an operator given
+only by its product, such as the site sweep of the full transfer matrix,
+and block labels from the caller.  `power_method` is its front for a
+matrix (dense or sparse): it labels the blocks, the connected
+components, with scipy, imported when it is called.  All blocks step
+together over one vector, with ratio extremes, inner products and norms
+reduced per block, so `iterations` counts joint steps; the vector
+returned is zero outside the block of the largest upper end.
 
 A step allocates nothing of the operator's size itself: it works through
 numpy `out=` arguments in three vectors, the iterate x and one scratch
@@ -32,14 +33,10 @@ The step adds the shift into y in place, so `apply` may return its own
 buffer (the site sweep does) or a fresh product (a matrix does), as long
 as it is not x; the next call may overwrite it.  Sectors add one buffer,
 into which `take` gathers each sector's entries, in stable-sort order,
-for `reduceat`.  Unit weights, on the
-operator path and for unweighted matrices, skip the multiplications by
-w; those would be exact, so no bit moves.  A weighted inner product
-multiplies w * a * b in that order, as the plain expression does, since
-the quotient's digits depend on its rounding.  Non-finite values are
-caught on the ratio extremes instead of a pass over y: x stays positive,
-so an inf or NaN anywhere in y reaches the minimum or the maximum of
-y / x, and the step raises ArithmeticError.
+for `reduceat`.  Non-finite values are caught on the ratio extremes
+instead of a pass over y: x stays positive, so an inf or NaN anywhere in
+y reaches the minimum or the maximum of y / x, and the step raises
+ArithmeticError.
 
 Brackets are computed in float64 from exact integer entries;
 certification is up to roundoff in entries and products, not interval
@@ -71,17 +68,58 @@ class SpectralBracket:
         return self.upper - self.lower
 
 
-def _check_iteration(shift, tol, max_iter) -> None:
-    # a NaN or negative tol never meets the width test and runs to max_iter
+def power_method(matrix, shift: float = 1.0, tol: float = 1e-12,
+                 max_iter: int = 1_000_000, history: list | None = None):
+    """Bracket the spectral radius of a nonnegative matrix.
+
+    `matrix` is a dense ndarray or scipy sparse matrix; `tol` is relative
+    bracket width.  The matrix front of `operator_power_method`, with the
+    connected components as sectors: a reducible matrix is stepped whole,
+    so `iterations` and `max_iter` count joint steps.  Returns
+    (SpectralBracket, eigenvector estimate on the dominant component,
+    zero elsewhere).
+    """
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    dense = not sparse.issparse(matrix)
+    mat = np.asarray(matrix, dtype=np.float64) if dense else matrix.tocsr()
+    m = mat.shape[0]
+    if mat.shape != (m, m):
+        raise ValueError("matrix must be square")
+    minval = mat.min() if dense else (mat.data.min() if mat.nnz else 0.0)
+    if minval < 0:
+        raise ValueError("matrix must be nonnegative")
+    # labelled from a CSR copy of the nonzeros: scipy converts a dense
+    # graph through float64 and index copies of twice its size
+    n_comp, labels = connected_components(sparse.csr_matrix(mat), directed=False)
+    return operator_power_method(mat.__matmul__, m, shift, tol, max_iter, history,
+                                 labels if n_comp > 1 else None)
+
+
+def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-12,
+                          max_iter: int = 1_000_000, history: list | None = None,
+                          sectors: np.ndarray | None = None):
+    """Bracket the spectral radius of a nonnegative operator.
+
+    `apply` maps a float64 vector of length `size` to the operator's product
+    with it, for an operator never materialized as a matrix; the product
+    may be a buffer of `apply`'s own, which the step overwrites.  `sectors`,
+    int labels 0 to k - 1 over the vector, name the invariant blocks of a
+    block-diagonal operator; ratio extremes, Rayleigh quotients and norms
+    are then taken per sector.  Without them the caller guarantees
+    irreducibility.  Arguments and result are otherwise those of
+    `power_method`.
+    """
+    if size < 1:
+        raise ValueError("operator size must be positive")
     if not 0 < shift < math.inf:
         raise ValueError("shift must be positive and finite")
+    # a NaN or negative tol never meets the width test and runs to max_iter
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-
-
-def _iterate(apply, weights, size, shift, tol, max_iter, history, sectors=None):
     if sectors is None:
         def per_sector(values, *ufuncs):
             return [ufunc.reduce(values, keepdims=True) for ufunc in ufuncs]
@@ -100,12 +138,7 @@ def _iterate(apply, weights, size, shift, tol, max_iter, history, sectors=None):
     scratch = np.empty(size)
 
     def inner(a, b):
-        # sum of weights * a * b per sector, multiplied in that order; None is unit weights
-        if weights is None:
-            np.multiply(a, b, out=scratch)
-        else:
-            np.multiply(weights, a, out=scratch)
-            np.multiply(scratch, b, out=scratch)
+        np.multiply(a, b, out=scratch)
         return per_sector(scratch, np.add)[0]
 
     def normalize(v):
@@ -153,57 +186,3 @@ def _iterate(apply, weights, size, shift, tol, max_iter, history, sectors=None):
     if sectors is not None:
         x[sectors != top] = 0.0
     return bracket, x
-
-
-def power_method(matrix, weights=None, shift: float = 1.0, tol: float = 1e-12,
-                 max_iter: int = 1_000_000, history: list | None = None):
-    """Bracket the spectral radius of a nonnegative weighted-self-adjoint matrix.
-
-    `matrix` is a dense ndarray or scipy sparse matrix; `weights` the inner
-    product weights (ones when omitted).  `tol` is relative bracket width.
-    A reducible matrix is stepped whole, with ratios, norms and Rayleigh
-    quotients taken per connected component, so `iterations` and
-    `max_iter` count joint steps.  Returns (SpectralBracket, eigenvector
-    estimate on the dominant component, zero elsewhere).
-    """
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
-    dense = not sparse.issparse(matrix)
-    mat = np.asarray(matrix, dtype=np.float64) if dense else matrix.tocsr()
-    m = mat.shape[0]
-    if mat.shape != (m, m):
-        raise ValueError("matrix must be square")
-    _check_iteration(shift, tol, max_iter)
-    minval = mat.min() if dense else (mat.data.min() if mat.nnz else 0.0)
-    if minval < 0:
-        raise ValueError("matrix must be nonnegative")
-    w = None if weights is None else np.asarray(weights, dtype=np.float64)
-    if w is not None and (w.shape != (m,) or (w <= 0).any()):
-        raise ValueError("weights must be positive and match the matrix size")
-
-    # labelled from a CSR copy of the nonzeros: scipy converts a dense
-    # graph through float64 and index copies of twice its size
-    n_comp, labels = connected_components(sparse.csr_matrix(mat), directed=False)
-    return _iterate(mat.__matmul__, w, m, shift, tol, max_iter, history,
-                    labels if n_comp > 1 else None)
-
-
-def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-12,
-                          max_iter: int = 1_000_000, history: list | None = None,
-                          sectors: np.ndarray | None = None):
-    """Bracket the spectral radius of a symmetric nonnegative operator.
-
-    `apply` maps a float64 vector of length `size` to the operator's product
-    with it, for an operator never materialized as a matrix; the product
-    may be a buffer of `apply`'s own, which the step overwrites.  `sectors`,
-    int labels 0 to k - 1 over the vector, name the invariant blocks of a
-    block-diagonal operator; ratio extremes, Rayleigh quotients and norms
-    are then taken per sector.  Without them the caller guarantees
-    irreducibility.  Arguments and result are otherwise those of
-    `power_method`, with unit weights.
-    """
-    if size < 1:
-        raise ValueError("operator size must be positive")
-    _check_iteration(shift, tol, max_iter)
-    return _iterate(apply, None, size, shift, tol, max_iter, history, sectors)

@@ -14,7 +14,10 @@ feeds it the basis columns e_r, weighted by orbit size, at t = q, so a
 trace sweeps ceil(q / 2) times; tr(M^0) = 2^n and tr(M) = c(full) come
 off the table, since only the empty mask is disjoint from itself.
 `quadratic_form_count`, the entry (M^e)[0, 0], feeds it the one column
-x = M e0, the cover counts reversed, at t = e - 2.
+x = M e0, the cover counts reversed, at t = e - 2.  Their time is bounded
+by predicted work, not points: ceil(t / 2) sweeps over every column,
+each placing every piece on at most 2^n entries per residue, must stay
+within `SWEEP_WORK_MAX` element updates.
 
 Both run on int64.  R, the sum of all counts, is row 0's sum and the
 largest row sum, so entries of M^k e_r are at most R^k, and entries of
@@ -71,9 +74,10 @@ from .symmetry import OrbitSpace
 if TYPE_CHECKING:
     from scipy import sparse
 
-# full_trace_power's time, not its memory, grows some 4.5x per point: q = 2
-# unfolded took 0.8-0.9 s at (13,) and 3.8-3.9 s at (14,) on a two-core VM
-TRACE_TIME_MAX_POINTS = 14
+# element updates of one exact power's sweeps, which bound its time, not
+# its memory: the unfolded (14,) torus trace at q = 2 predicts 7.5e9 and
+# took 3.8-3.9 s on a two-core VM
+SWEEP_WORK_MAX = 2 * 10**10
 _FLOAT_EXACT_LIMIT = 1 << 53
 _BLOCK_ENTRIES = 1 << 20
 # pairs per block of `disjoint_pairs`; each pair takes some 30 bytes of
@@ -98,9 +102,6 @@ class QuotientMatrix:
     def to_dense(self) -> np.ndarray:
         """Entries as float64; exact because entries are checked below 2^53."""
         return self.entries.astype(np.float64)
-
-    def weight_vector(self) -> np.ndarray:
-        return self.weights.astype(np.float64)
 
 
 def disjoint_pairs(rows: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -212,17 +213,21 @@ def residue_moduli(bound: int, row_sum: int) -> list[int]:
     raise CapacityError(f"no int64 moduli cover {bound.bit_length()} bits at row sum {row_sum}")
 
 
-def _plan(table: CoverTable, power: int, weights: list[int]) -> tuple[int, np.ndarray]:
+def _plan(table: CoverTable, power: int, weights: list[int],
+          t: int) -> tuple[int, np.ndarray]:
     """Columns per block and int64 moduli for a weighted sum of entries of M^power.
 
     With R the sum of all counts, F = max(R, 2^31), W the weights' total
     and B = power * bits(R), a column takes k = 1 int64 entry if B <= 63,
     else k = ceil((B + bits(W)) / (62 - bits(F))) residues: each modulus
-    adds at least 62 - bits(F) bits.  k comes from bit lengths, so 24 B
-    per entry of a block of at most max(2^20, k * 2^n) entries is checked
-    before W R^power is formed: the block, the operator's buffer, which
-    takes the dot's products, and piece-update temporaries.  No moduli
-    while R^power < 2^63.
+    adds at least 62 - bits(F) bits.  k comes from bit lengths, so two
+    checks run before W R^power is formed.  24 B per entry of a block of
+    at most max(2^20, k * 2^n) entries must fit the budget: the block, the
+    operator's buffer, which takes the dot's products, and piece-update
+    temporaries.  The work of closing one column per weight at `t`,
+    ceil(t / 2) sweeps of k residues, each placing P pieces on at most
+    2^n entries, must stay within `SWEEP_WORK_MAX`.  No moduli while
+    R^power < 2^63.
     """
     n = table.shape.n
     row_sum, total = sum(table.counts), sum(weights)
@@ -232,6 +237,11 @@ def _plan(table: CoverTable, power: int, weights: list[int]) -> tuple[int, np.nd
     width = max(1, (_BLOCK_ENTRIES >> n) // k)
     check_memory((24 * k * min(width, len(weights))) << n,
                  f"M^{power} over {n} points on {k} int64 residues")
+    pieces = sum(map(bool, table.point_weights)) + len(table.adjacency.edges)
+    work = -(-t // 2) * k * len(weights) * pieces << n
+    if work > SWEEP_WORK_MAX:
+        raise CapacityError(f"M^{t} over {n} points predicts {work:.1e} element updates; "
+                            f"the limit is {SWEEP_WORK_MAX:.0e}")
     moduli = residue_moduli(total * row_sum ** power, factor) if row_sum ** power >> 63 else []
     return width, np.array(moduli, dtype=np.int64)
 
@@ -293,12 +303,10 @@ def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None
     constant on orbits because the group conjugates the matrix to itself,
     and orbits of a group that does not are refused with ValueError.
     tr(M) = c(full), as only the empty mask, an orbit of its own, meets
-    itself; from q = 2 the basis columns go to `_close` in blocks of
-    `_plan`, whose time `TRACE_TIME_MAX_POINTS` bounds.
+    itself, so q <= 1 is admitted at any size; from q = 2 the basis
+    columns go to `_close` in blocks of `_plan`, which bounds their work.
     """
     n = table.shape.n
-    if n > TRACE_TIME_MAX_POINTS:
-        raise CapacityError(f"exact traces take too long past {TRACE_TIME_MAX_POINTS} points")
     if q < 0:
         raise ValueError("power must be nonnegative")
     if orbits is not None:
@@ -309,7 +317,7 @@ def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None
         return table.counts[table.full]
     reps = list(orbits.reps) if orbits is not None else list(range(1 << n))
     weights = list(orbits.sizes) if orbits is not None else [1] * (1 << n)
-    width, moduli = _plan(table, q, weights)
+    width, moduli = _plan(table, q, weights, q)
 
     def blocks():
         for start in range(0, len(reps), width):
@@ -330,12 +338,13 @@ def quadratic_form_count(table: CoverTable, exponent: int) -> int:
     counts covers of the section extended by a tiled layer direction.
     x = M e0 is the counts reversed, so this is (M^exponent)[0, 0], the
     one column x through `_close` at exponent - 2.  Predicts 24 k * 2^n
-    bytes, R the sum of all counts and B = exponent * bits(R): k = 1 if
+    bytes and ceil(exponent / 2 - 1) * k * P * 2^n element updates, P the
+    pieces, R the sum of all counts and B = exponent * bits(R): k = 1 if
     B <= 63, else k = ceil((B + 1) / (62 - max(bits(R), 32))) residues.
     """
     if exponent < 2:
         raise ValueError("quadratic form needs at least two layers")
-    _, moduli = _plan(table, exponent, [1])
+    _, moduli = _plan(table, exponent, [1], exponent - 2)
     x = np.array(table.counts[::-1], dtype=np.int64).reshape(-1, 1, 1)
     return _close(table, [(x % moduli if moduli.size else x, [1])], exponent - 2, moduli)
 

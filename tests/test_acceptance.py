@@ -242,7 +242,7 @@ def test_acceptance_8_quotient_soundness():
                 assert weighted_symmetry_ok(qm)
                 table = CoverTable(shape, SectionKind.TORUS, dimer_only)
                 full_bracket, _ = power_method(full_matrix_sparse(table))
-                fold_bracket, _ = power_method(qm.to_dense(), qm.weight_vector())
+                fold_bracket, _ = power_method(qm.to_dense())
                 assert full_bracket.converged and fold_bracket.converged
                 low = max(full_bracket.lower, fold_bracket.lower)
                 high = min(full_bracket.upper, fold_bracket.upper)
@@ -265,7 +265,7 @@ def test_sweep_brackets_match_quotient_brackets(dimer_only, sections):
     for dims in sections:
         sweep = transfer_log_radius(dims, dimer_only)
         qm = section_quotient(dims, dimer_only)
-        fold, _ = power_method(qm.to_dense(), qm.weight_vector())
+        fold, _ = power_method(qm.to_dense())
         references = [fold]
         if math.prod(dims) <= 12:
             table = CoverTable(LatticeShape(dims), SectionKind.TORUS, dimer_only)

@@ -6,6 +6,7 @@ import pytest
 
 import mdentropy.bounds as bounds
 from mdentropy.bounds import (
+    check_section,
     dimer_lower,
     h2_bounds,
     h3_bounds,
@@ -100,11 +101,13 @@ def test_section_orbit_counts():
 
 
 def test_section_capacity_and_validation():
-    # past the memory budget: 2^25 states and more for the sweep of either
-    # kind, 7685 and 184,854 orbits for the dimer-only quotients
-    for dims in [(26,), (6, 5), (5, 5)]:
+    # past the memory budget: 2^26 states and more for the monomer-dimer
+    # sweep, 2^25 for the dimer-only one, 7685 and 184,854 orbits for the
+    # dimer-only quotients; a 25-point monomer-dimer sweep fits (961 MiB)
+    for dims in [(26,), (6, 5), (13, 2)]:
         with pytest.raises(CapacityError):
             transfer_log_radius(dims)
+    assert check_section((5, 5)).dims == (5, 5)
     for dims in [(26,), (5, 5)]:
         with pytest.raises(CapacityError):
             transfer_log_radius(dims, dimer_only=True)

@@ -334,7 +334,7 @@ def test_table_size_limits(capsys, monkeypatch):
     # (4, 4), the row before it, fits
     monkeypatch.setattr(cli, "transfer_log_radius", no_rows)
     monkeypatch.setattr(lattice, "MEMORY_BUDGET", 8 << 20)
-    check_section((4, 4))
+    check_section((4, 4), dimer_only=True)
     code, out, err = run_cli(capsys, "table", "--which", "4", "--max-size", "18")
     assert code == EXIT_CAPACITY
     assert out == ""

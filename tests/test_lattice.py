@@ -9,18 +9,20 @@ from mdentropy.lattice import (
 )
 
 
-def test_point_index_first_coordinate_fastest():
+def test_point_coords_first_coordinate_fastest():
     shape = LatticeShape((3, 2))
-    order = [shape.point_index(c) for c in
-             [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]]
-    assert order == [0, 1, 2, 3, 4, 5]
+    assert [shape.point_coords(i) for i in range(shape.n)] == \
+        [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]
 
 
 @pytest.mark.parametrize("dims", [(4,), (3, 2), (2, 3, 2), (1, 5)])
 def test_index_coords_roundtrip(dims):
+    # the index is sum_k (c_k - 1) * stride_k
     shape = LatticeShape(dims)
     for index in range(shape.n):
-        assert shape.point_index(shape.point_coords(index)) == index
+        coords = shape.point_coords(index)
+        assert all(1 <= c <= m for c, m in zip(coords, dims))
+        assert sum((c - 1) * s for c, s in zip(coords, shape.strides())) == index
 
 
 def test_shape_validation():
@@ -30,8 +32,6 @@ def test_shape_validation():
         LatticeShape((3, 0))
     with pytest.raises(CapacityError):
         LatticeShape((65,))
-    with pytest.raises(ValueError):
-        LatticeShape((4,)).point_index((5,))
     with pytest.raises(ValueError):
         LatticeShape((4,)).point_coords(4)
 

@@ -44,7 +44,7 @@ def orbits(dims):
 
 def quotient_bracket(dims, dimer_only=False):
     qm = bounds.section_quotient(dims, dimer_only)
-    return power_method(qm.to_dense(), qm.weight_vector())
+    return power_method(qm.to_dense())
 
 
 @pytest.fixture

@@ -63,9 +63,10 @@ def test_rayleigh_matches_dense_eigensolver():
 
 
 def test_weighted_quotient_bracket_contains_symmetrized_radius():
+    # the ratio bracket needs no weights: it holds for any nonnegative matrix
     qm = torus_quotient((6,))
-    bracket, _ = power_method(qm.to_dense(), qm.weight_vector())
-    d = np.sqrt(qm.weight_vector())
+    bracket, _ = power_method(qm.to_dense())
+    d = np.sqrt(qm.weights)
     sym = qm.to_dense() * d[:, None] / d[None, :]
     top = float(np.linalg.eigvalsh(sym)[-1])
     assert bracket.converged
@@ -74,7 +75,7 @@ def test_weighted_quotient_bracket_contains_symmetrized_radius():
 
 def test_four_ring_radius_value():
     qm = torus_quotient((4,))
-    bracket, _ = power_method(qm.to_dense(), qm.weight_vector())
+    bracket, _ = power_method(qm.to_dense())
     assert bracket.converged
     assert bracket.lower <= bracket.rayleigh <= bracket.upper
     assert abs(math.log(bracket.rayleigh) - 2.6532941163) <= 1e-9
@@ -87,7 +88,7 @@ def test_history_brackets_are_monotone():
     matrix = qm.to_dense()
     assert connected_components(matrix, directed=False)[0] > 1
     history = []
-    bracket, _ = power_method(matrix, qm.weight_vector(), history=history)
+    bracket, _ = power_method(matrix, history=history)
     assert [step[0] for step in history] == list(range(1, bracket.iterations + 1))
     for _, lower, upper, rayleigh in history:
         slack = 1e-11 * max(1.0, abs(rayleigh))
@@ -149,8 +150,8 @@ def test_operator_entry_point_matches_the_matrix_path():
 
 def test_repeat_runs_are_bitwise_identical():
     qm = torus_quotient((6,))
-    first, _ = power_method(qm.to_dense(), qm.weight_vector())
-    second, _ = power_method(qm.to_dense(), qm.weight_vector())
+    first, _ = power_method(qm.to_dense())
+    second, _ = power_method(qm.to_dense())
     assert (first.lower, first.upper, first.rayleigh) == \
         (second.lower, second.upper, second.rayleigh)
 
@@ -169,10 +170,6 @@ def test_validation_errors():
         power_method(np.ones((2, 2)), shift=0.0)
     with pytest.raises(ValueError):
         power_method(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    with pytest.raises(ValueError):
-        power_method(np.ones((2, 2)), weights=np.ones(3))
-    with pytest.raises(ValueError):
-        power_method(np.ones((2, 2)), weights=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         operator_power_method(PATH_GRAPH.__matmul__, 0)
     with pytest.raises(ValueError):
@@ -221,15 +218,12 @@ def test_non_finite_matrix_entry_raises(bad):
         matrix[i, j] = matrix[j, i] = bad
         with pytest.raises(ArithmeticError, match="non-finite"):
             power_method(matrix)
-        with pytest.raises(ArithmeticError, match="non-finite"):
-            power_method(matrix, weights=np.ones(3))
 
 
 def test_unit_weights_match_the_operator_path_bitwise():
-    # the operator path skips the multiplications by unit weights; they
-    # are exact, so explicit ones give the same bits.  The dimer-only
-    # matrix is reducible, and the operator path given its component
-    # labels as sectors takes the same joint steps
+    # the matrix front runs the operator driver on its product.  The
+    # dimer-only matrix is reducible, and the operator path given its
+    # component labels as sectors takes the same joint steps
     for dimer_only in (False, True):
         table = CoverTable(LatticeShape((3, 2)), SectionKind.TORUS, dimer_only)
         matrix = np.array([[table.entry(s, t) for t in range(table.full + 1)]
@@ -237,8 +231,7 @@ def test_unit_weights_match_the_operator_path_bitwise():
         n_comp, labels = connected_components(matrix, directed=False)
         assert (n_comp > 1) == dimer_only
         history_matrix, history_operator = [], []
-        want, want_vec = power_method(matrix, weights=np.ones(len(matrix)),
-                                      history=history_matrix)
+        want, want_vec = power_method(matrix, history=history_matrix)
         got, got_vec = operator_power_method(matrix.__matmul__, len(matrix),
                                              history=history_operator,
                                              sectors=labels if dimer_only else None)

@@ -52,8 +52,11 @@ def test_group_closure_and_inverses():
 
 def closure_of_generators(shape):
     """Reference group: unit translations, reflections and equal-extent swaps, closed."""
+    def index_of(coords):
+        return sum((c - 1) * s for c, s in zip(coords, shape.strides()))
+
     def moved(rule):
-        return tuple(shape.point_index(rule(list(shape.point_coords(i)))) for i in range(shape.n))
+        return tuple(index_of(rule(list(shape.point_coords(i)))) for i in range(shape.n))
 
     def shift(axis):
         return lambda c: c[:axis] + [c[axis] % shape.dims[axis] + 1] + c[axis + 1:]

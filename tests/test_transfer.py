@@ -13,7 +13,6 @@ from mdentropy.lattice import CapacityError, LatticeShape
 from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces
 from mdentropy.symmetry import compute_orbits, generate_motion_group
 from mdentropy.transfer import (
-    TRACE_TIME_MAX_POINTS,
     QuotientMatrix,
     SweepOperator,
     build_quotient,
@@ -48,7 +47,7 @@ def dense_full(table):
 
 
 def radius_of_quotient(qm):
-    d = np.sqrt(qm.weight_vector())
+    d = np.sqrt(qm.weights)
     sym = qm.to_dense() * d[:, None] / d[None, :]
     return float(np.linalg.eigvalsh(sym)[-1])
 
@@ -652,10 +651,10 @@ def test_trace_rejects_orbits_of_another_point_count():
 
 
 def test_full_matrix_capacity_limits():
-    # the exact trace is limited by its time, the other two by the budget
-    assert TRACE_TIME_MAX_POINTS == 14
+    # the exact trace is limited by its sweep work, 3.2e10 element updates
+    # at (15,) and q = 2, the other two by the budget
     with pytest.raises(CapacityError):
-        full_trace_power(torus_table((15,)), 1)
+        full_trace_power(torus_table((15,)), 2)
     table = torus_table((16,))
     with pytest.raises(CapacityError):
         full_matrix_sparse(table)
