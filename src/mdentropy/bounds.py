@@ -24,8 +24,9 @@ a dimer-only one is block-diagonal over the sectors of `dimer_sectors`
 and bracketed per sector, through M^2 on odd sections.  `check_section`
 checks a bracket's bytes against the memory budget first: 25 points fit
 for monomer-dimer covers, 24 for dimer-only ones.  `h2_bounds` and
-`h3_bounds` check every section their formulas name before the first
-bracket, so one section past capacity fails fast.
+`h3_bounds` name each section of their formulas once; that one list is
+checked before the first bracket, so one section past capacity fails
+fast, and becomes the bound's params["dims"].
 
 Closed-form route: the permanental lower bound for r-regular bipartite
 graphs gives, per site, the concave function lambda_lower(d, p) below the
@@ -210,24 +211,35 @@ transfer_log_radius.cache_info = _log_radius.cache_info
 transfer_log_radius.cache_clear = _log_radius.cache_clear
 
 
-def _section_brackets(sections, dimer_only: bool, tol: float) -> list[SpectralBracket]:
-    """Log-radius brackets of the sections a bound names, in order.
+def _bound_pair(d: int, dimer_only: bool, tol: float, upper: tuple,
+                lower: tuple) -> tuple[EntropyBound, EntropyBound]:
+    """Upper and lower bounds on h_d, each given as (sections, formula, params, value).
 
-    Every section is checked against capacity before the first bracket
-    runs, so a bound with one section too large fails at once; sections
-    with a zero extent are exact log 2 terms and need no check.  The
-    formulas name some sections in both axis orders, e.g. (4, 2) and
-    (2, 4); passing canonical dims makes them one lookup key for anything
-    that watches the calls, as they are one cache entry.
+    Each side names its sections once.  All of them are checked against
+    capacity before the first bracket runs, so a bound with one section too
+    large fails at once; sections with a zero extent are exact log 2 terms
+    and need no check.  The formulas name some sections in both axis
+    orders, e.g. (4, 2) and (2, 4); passing canonical dims makes them one
+    lookup key for anything that watches the calls, as they are one cache
+    entry.  `value` maps the brackets of its own side's sections to the
+    bound, `converged` asks that all of them converged, and `params` gains
+    them as "dims", the upper side's single section as a flat list.
     """
-    for dims in sections:
+    named = upper[0] + lower[0]
+    for dims in named:
         if all(dims):
             check_section(dims, dimer_only)
-    return [transfer_log_radius(_canonical(dims), dimer_only, tol) for dims in sections]
+    brackets = iter([transfer_log_radius(_canonical(dims), dimer_only, tol) for dims in named])
+    target = f"h{d}_dimer" if dimer_only else f"h{d}"
 
+    def bound(direction, sections, formula, params, value):
+        used = [next(brackets) for _ in sections]
+        dims = [list(section) for section in sections]
+        return EntropyBound(target, direction, value(*used), formula,
+                            {**params, "dims": dims[0] if direction == "upper" else dims},
+                            all(bracket.converged for bracket in used))
 
-def _target(d: int, dimer_only: bool) -> str:
-    return f"h{d}_dimer" if dimer_only else f"h{d}"
+    return bound("upper", *upper), bound("lower", *lower)
 
 
 def h2_bounds(r: int, p: int, q: int, dimer_only: bool = False,
@@ -235,22 +247,12 @@ def h2_bounds(r: int, p: int, q: int, dimer_only: bool = False,
     """Upper and lower bounds on h2 from section growth rates."""
     if r < 1 or p < 1 or q < 0:
         raise ValueError("need r >= 1, p >= 1, q >= 0")
-    wide, top, base = _section_brackets([(2 * r,), (p + 2 * q,), (2 * q,)], dimer_only, tol)
-    upper = EntropyBound(
-        target=_target(2, dimer_only), direction="upper",
-        value=wide.upper / (2 * r),
-        formula="log_radius(2r)/(2r)",
-        params={"r": r, "dims": [2 * r]},
-        converged=wide.converged,
-    )
-    lower = EntropyBound(
-        target=_target(2, dimer_only), direction="lower",
-        value=(top.lower - base.upper) / p,
-        formula="(log_radius(p+2q) - log_radius(2q))/p",
-        params={"p": p, "q": q, "dims": [[p + 2 * q], [2 * q]]},
-        converged=top.converged and base.converged,
-    )
-    return upper, lower
+    return _bound_pair(
+        2, dimer_only, tol,
+        ([(2 * r,)], "log_radius(2r)/(2r)", {"r": r},
+         lambda wide: wide.upper / (2 * r)),
+        ([(p + 2 * q,), (2 * q,)], "(log_radius(p+2q) - log_radius(2q))/p", {"p": p, "q": q},
+         lambda top, base: (top.lower - base.upper) / p))
 
 
 def h3_bounds(r: int, t: int, p: int, q: int, u: int, s: int, v: int,
@@ -259,26 +261,14 @@ def h3_bounds(r: int, t: int, p: int, q: int, u: int, s: int, v: int,
     """Upper and lower bounds on h3 from 2-D section growth rates."""
     if min(r, t, p, u, v) < 1 or q < 0 or s < 0:
         raise ValueError("need r, t, p, u, v >= 1 and q, s >= 0")
-    wide, top, base, tail = _section_brackets(
-        [(2 * r, 2 * t), (p + 2 * q, u + 2 * s), (p + 2 * q, 2 * s), (2 * q, 2 * v)],
-        dimer_only, tol)
-    upper = EntropyBound(
-        target=_target(3, dimer_only), direction="upper",
-        value=wide.upper / (4 * r * t),
-        formula="log_radius(2r,2t)/(4rt)",
-        params={"r": r, "t": t, "dims": [2 * r, 2 * t]},
-        converged=wide.converged,
-    )
-    lower = EntropyBound(
-        target=_target(3, dimer_only), direction="lower",
-        value=(top.lower - base.upper) / (u * p) - tail.upper / (2 * v * p),
-        formula=("(log_radius(p+2q,u+2s) - log_radius(p+2q,2s))/(u p)"
-                 " - log_radius(2q,2v)/(2 v p)"),
-        params={"p": p, "q": q, "u": u, "s": s, "v": v,
-                "dims": [[p + 2 * q, u + 2 * s], [p + 2 * q, 2 * s], [2 * q, 2 * v]]},
-        converged=top.converged and base.converged and tail.converged,
-    )
-    return upper, lower
+    return _bound_pair(
+        3, dimer_only, tol,
+        ([(2 * r, 2 * t)], "log_radius(2r,2t)/(4rt)", {"r": r, "t": t},
+         lambda wide: wide.upper / (4 * r * t)),
+        ([(p + 2 * q, u + 2 * s), (p + 2 * q, 2 * s), (2 * q, 2 * v)],
+         "(log_radius(p+2q,u+2s) - log_radius(p+2q,2s))/(u p) - log_radius(2q,2v)/(2 v p)",
+         {"p": p, "q": q, "u": u, "s": s, "v": v},
+         lambda top, base, tail: (top.lower - base.upper) / (u * p) - tail.upper / (2 * v * p)))
 
 
 def _xlogx(x: float) -> float:

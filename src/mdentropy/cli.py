@@ -104,21 +104,25 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(fmt: str, command: str, parameters: dict, columns, rows: list[dict],
-          started: float, out=None) -> None:
-    out = out or sys.stdout
-    if fmt == "json":
+def _emit(args, columns, rows: list[dict], started: float, **parsed) -> None:
+    """Write the rows as CSV, or as a JSON run record of the command.
+
+    The record's parameters are the parsed flags in their parser order, with
+    the values in `parsed` (the lists parsed from text flags) in place of the text.
+    """
+    if args.fmt == "json":
+        flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "fmt")}
         record = {
-            "command": command,
-            "parameters": parameters,
+            "command": args.command,
+            "parameters": {**flags, **parsed},
             "results": rows,
             "timings": {"total_seconds": time.perf_counter() - started},
             "version": __version__,
         }
-        json.dump(record, out, indent=2)
-        out.write("\n")
+        json.dump(record, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     else:
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_cell(row[c]) for c in columns])
@@ -147,47 +151,32 @@ def cmd_beta(args) -> int:
     if any(m < 0 for m in dims):
         raise UsageError(f"extents must be nonnegative, got {dims}")
     row = _beta_row(dims, args.dimer_only, args.tol, args.shift, args.max_iters)
-    parameters = {
-        "dims": list(dims),
-        "dimer_only": args.dimer_only,
-        "tol": args.tol,
-        "shift": args.shift,
-        "max_iters": args.max_iters,
-    }
-    _emit(args.fmt, "beta", parameters, BETA_COLUMNS, [row], started)
+    _emit(args, BETA_COLUMNS, [row], started, dims=dims)
     return EXIT_OK if row["converged"] else EXIT_NOT_CONVERGED
 
 
-_UPPER_ARITY = {"h2": 1, "h2t": 1, "h3": 2, "h3t": 2}
-_LOWER_ARITY = {"h2": 2, "h2t": 2, "h3": 5, "h3t": 5}
+_ARITY = {"h2": (1, 2), "h3": (2, 5)}  # values of --upper and --lower
 
 
 def cmd_bounds(args) -> int:
     started = time.perf_counter()
     target = args.target
-    upper_params = _parse_int_list(args.upper, "--upper")
-    lower_params = _parse_int_list(args.lower, "--lower")
-    if len(upper_params) != _UPPER_ARITY[target]:
-        raise UsageError(
-            f"--upper for {target} takes {_UPPER_ARITY[target]} value(s), got {len(upper_params)}")
-    if len(lower_params) != _LOWER_ARITY[target]:
-        raise UsageError(
-            f"--lower for {target} takes {_LOWER_ARITY[target]} value(s), got {len(lower_params)}")
-    dimer_only = target.endswith("t")
+    upper = _parse_int_list(args.upper, "--upper")
+    lower = _parse_int_list(args.lower, "--lower")
+    for flag, values, arity in zip(("--upper", "--lower"), (upper, lower), _ARITY[target[:2]]):
+        if len(values) != arity:
+            raise UsageError(f"{flag} for {target} takes {arity} value(s), got {len(values)}")
+    # looked up at call time, so a wrapper set on this module sees the call
+    h_bounds = h2_bounds if target[:2] == "h2" else h3_bounds
     try:
-        if target in ("h2", "h2t"):
-            upper, lower = h2_bounds(upper_params[0], *lower_params,
-                                     dimer_only=dimer_only, tol=args.tol)
-        else:
-            upper, lower = h3_bounds(*upper_params, *lower_params,
-                                     dimer_only=dimer_only, tol=args.tol)
+        pair = h_bounds(*upper, *lower, dimer_only=target.endswith("t"), tol=args.tol)
     except CapacityError:
         raise
     except ValueError as exc:
         raise UsageError(str(exc))
-    consistent = lower.value <= upper.value
+    consistent = pair[1].value <= pair[0].value
     rows = []
-    for bound in (upper, lower):
+    for bound in pair:
         rows.append({
             "target": bound.target,
             "direction": bound.direction,
@@ -197,16 +186,8 @@ def cmd_bounds(args) -> int:
             "params": " ".join(f"{k}={v}" for k, v in bound.params.items()),
             "consistent": consistent,
         })
-    parameters = {
-        "target": target,
-        "upper": list(upper_params),
-        "lower": list(lower_params),
-        "tol": args.tol,
-    }
-    _emit(args.fmt, "bounds", parameters, BOUND_COLUMNS, rows, started)
-    if not (upper.converged and lower.converged):
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    _emit(args, BOUND_COLUMNS, rows, started, upper=upper, lower=lower)
+    return EXIT_OK if all(bound.converged for bound in pair) else EXIT_NOT_CONVERGED
 
 
 def cmd_lambda(args) -> int:
@@ -228,8 +209,7 @@ def cmd_lambda(args) -> int:
     else:
         peak_p = optimal_density(d)
     rows.append({"point": "peak", "p": peak_p, "value": curve(peak_p)})
-    parameters = {"d": d, "grid": step}
-    _emit(args.fmt, "lambda", parameters, LAMBDA_COLUMNS, rows, started)
+    _emit(args, LAMBDA_COLUMNS, rows, started)
     return EXIT_OK
 
 
@@ -250,14 +230,7 @@ def cmd_table(args) -> int:
     results = [_beta_row(s, dimer_only, args.tol, args.shift, args.max_iters)
                for s in shapes]
     rows = [{c: row[c] for c in TABLE_COLUMNS} for row in results]
-    parameters = {
-        "which": args.which,
-        "max_size": args.max_size,
-        "tol": args.tol,
-        "shift": args.shift,
-        "max_iters": args.max_iters,
-    }
-    _emit(args.fmt, "table", parameters, TABLE_COLUMNS, rows, started)
+    _emit(args, TABLE_COLUMNS, rows, started)
     return EXIT_OK if all(row["converged"] for row in results) else EXIT_NOT_CONVERGED
 
 

@@ -238,14 +238,19 @@ class CoverTable(SectionPieces):
         del e
         return image[::-1].tolist()
 
-    def count(self, mask: int) -> int:
-        """Covers of the subset given by `mask`."""
+    def _check_mask(self, mask: int) -> None:
         if not 0 <= mask <= self.full:
             raise ValueError(f"mask {mask:#x} outside the {self.shape.n}-point section")
+
+    def count(self, mask: int) -> int:
+        """Covers of the subset given by `mask`."""
+        self._check_mask(mask)
         return self.counts[mask]
 
     def entry(self, s: int, t: int) -> int:
         """Transfer matrix entry: covers of the complement of s | t, 0 on overlap."""
+        self._check_mask(s)
+        self._check_mask(t)
         if s & t:
             return 0
         return self.counts[self.full ^ (s | t)]

@@ -398,19 +398,33 @@ def test_out_of_range_flags_are_argparse_errors(capsys, argv):
     assert "must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ("beta", "--dims", "4", "--format", "json"),
-    ("bounds", "--target", "h2", "--upper", "2", "--lower", "1,1",
-     "--format", "json"),
-    ("lambda", "--d", "3", "--grid", "0.1", "--format", "json"),
-    ("table", "--which", "1", "--max-size", "6", "--format", "json"),
-])
+# each command's record parameters: the parsed flags, key for key and in order
+RECORD_PARAMETERS = {
+    ("beta", "--dims", "4", "--format", "json"):
+        [("dims", [4]), ("dimer_only", False), ("tol", 1e-12), ("shift", 1.0),
+         ("max_iters", 1000000)],
+    ("bounds", "--target", "h2", "--upper", "2", "--lower", "1,1", "--format", "json"):
+        [("target", "h2"), ("upper", [2]), ("lower", [1, 1]), ("tol", 1e-12)],
+    ("lambda", "--d", "3", "--grid", "0.1", "--format", "json"):
+        [("d", 3), ("grid", 0.1)],
+    ("table", "--which", "1", "--max-size", "6", "--format", "json"):
+        [("which", 1), ("max_size", 6), ("tol", 1e-12), ("shift", 1.0),
+         ("max_iters", 1000000)],
+    ("beta", "--dims", "4,3", "--dimer-only", "--tol", "1e-10", "--shift", "2",
+     "--max-iters", "50", "--format", "json"):
+        [("dims", [4, 3]), ("dimer_only", True), ("tol", 1e-10), ("shift", 2.0),
+         ("max_iters", 50)],
+}
+
+
+@pytest.mark.parametrize("argv", list(RECORD_PARAMETERS))
 def test_json_records_validate(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     record = json.loads(out)
     jsonschema.validate(record, RUN_RECORD_SCHEMA)
     assert record["command"] == argv[0]
+    assert list(record["parameters"].items()) == RECORD_PARAMETERS[argv]
     assert record["version"] == __version__
     assert record["results"]
     assert record["timings"]["total_seconds"] >= 0.0
@@ -458,6 +472,9 @@ RECORDED_STDOUT = {
     "table_3_14.csv": ("table", "--which", "3", "--max-size", "14"),
     "table_2_12.csv": ("table", "--which", "2", "--max-size", "12"),
     "bounds_h3.csv": ("bounds", "--target", "h3", "--upper", "2,2", "--lower", "2,1,1,1,2"),
+    "bounds_h2.csv": ("bounds", "--target", "h2", "--upper", "6", "--lower", "1,6"),
+    "bounds_h2t.csv": ("bounds", "--target", "h2t", "--upper", "3", "--lower", "2,1"),
+    "bounds_h3t.csv": ("bounds", "--target", "h3t", "--upper", "2,2", "--lower", "1,1,1,1,1"),
     "beta_4_3_dimer.csv": ("beta", "--dims", "4,3", "--dimer-only"),
     "beta_3_2_2.csv": ("beta", "--dims", "3,2,2"),
     "verify_20.txt": ("verify", "--max-points", "20"),

@@ -123,6 +123,16 @@ def test_mask_range_checked():
     table = CoverTable(LatticeShape((3,)), SectionKind.BOX)
     with pytest.raises(ValueError):
         table.count(8)
+    # a negative mask would index the counts from their end: entry(-1, 0)
+    # read c(empty) = 1 and entry(-8, 0) read c(full) = 4 on the (3,) torus
+    torus = CoverTable(LatticeShape((3,)), SectionKind.TORUS)
+    for s, t in [(-1, 0), (-8, 0), (0, -1), (8, 0), (0, 8)]:
+        with pytest.raises(ValueError):
+            torus.count(s if s else t)
+        with pytest.raises(ValueError):
+            torus.entry(s, t)
+    assert torus.entry(0, 0) == torus.count(7) == 4
+    assert torus.entry(7, 0) == torus.entry(0, 7) == 1
 
 
 def reference_place(rows, point_weights, edges):
