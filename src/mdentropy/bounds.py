@@ -40,7 +40,7 @@ All logarithms are natural and 0 log 0 = 0 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -50,7 +50,7 @@ import numpy as np
 
 from .lattice import LatticeShape, check_memory
 from .matchcount import CoverTable, SectionKind, SectionPieces, SweepOperator
-from .spectral import SpectralBracket, operator_power_method
+from .spectral import MAX_ITER, SHIFT, TOL, SpectralBracket, operator_power_method
 from .symmetry import burnside_orbit_count, compute_orbits, generate_motion_group
 from .transfer import QuotientMatrix, build_quotient
 
@@ -158,13 +158,8 @@ def dimer_sectors(shape: LatticeShape) -> np.ndarray:
     return np.abs(labels) if even else labels & 1
 
 
-def _exact_log_bracket(value: float, shift: float) -> SpectralBracket:
-    return SpectralBracket(lower=value, upper=value, rayleigh=value,
-                           iterations=0, shift=shift, converged=True)
-
-
-def transfer_log_radius(dims, dimer_only: bool = False, tol: float = 1e-12,
-                        shift: float = 1.0, max_iter: int = 1_000_000) -> SpectralBracket:
+def transfer_log_radius(dims, dimer_only: bool = False, tol: float = TOL,
+                        shift: float = SHIFT, max_iter: int = MAX_ITER) -> SpectralBracket:
     """Certified bracket on the log spectral radius of a torus section.
 
     Cached on the sorted dims, as `section_quotient` is.  A zero extent
@@ -180,7 +175,8 @@ def _log_radius(dims: tuple[int, ...], dimer_only: bool, tol: float, shift: floa
                 max_iter: int) -> SpectralBracket:
     if any(m == 0 for m in dims):
         points = prod(m for m in dims if m) if any(dims) else 1
-        return _exact_log_bracket(points * math.log(2.0), shift)
+        exact = points * math.log(2.0)
+        return SpectralBracket(exact, exact, exact, iterations=0, shift=shift, converged=True)
     shape = check_section(dims, dimer_only)
     pieces = SectionPieces(shape, SectionKind.TORUS, dimer_only)
     size = pieces.full + 1
@@ -197,14 +193,8 @@ def _log_radius(dims: tuple[int, ...], dimer_only: bool, tol: float, shift: floa
     def safe_log(x: float) -> float:
         return math.log(x) / power if x > 0 else -math.inf
 
-    return SpectralBracket(
-        lower=safe_log(bracket.lower),
-        upper=safe_log(bracket.upper),
-        rayleigh=safe_log(bracket.rayleigh),
-        iterations=bracket.iterations,
-        shift=bracket.shift,
-        converged=bracket.converged,
-    )
+    return replace(bracket, lower=safe_log(bracket.lower), upper=safe_log(bracket.upper),
+                   rayleigh=safe_log(bracket.rayleigh))
 
 
 transfer_log_radius.cache_info = _log_radius.cache_info
@@ -243,7 +233,7 @@ def _bound_pair(d: int, dimer_only: bool, tol: float, upper: tuple,
 
 
 def h2_bounds(r: int, p: int, q: int, dimer_only: bool = False,
-              tol: float = 1e-12) -> tuple[EntropyBound, EntropyBound]:
+              tol: float = TOL) -> tuple[EntropyBound, EntropyBound]:
     """Upper and lower bounds on h2 from section growth rates."""
     if r < 1 or p < 1 or q < 0:
         raise ValueError("need r >= 1, p >= 1, q >= 0")
@@ -257,7 +247,7 @@ def h2_bounds(r: int, p: int, q: int, dimer_only: bool = False,
 
 def h3_bounds(r: int, t: int, p: int, q: int, u: int, s: int, v: int,
               dimer_only: bool = False,
-              tol: float = 1e-12) -> tuple[EntropyBound, EntropyBound]:
+              tol: float = TOL) -> tuple[EntropyBound, EntropyBound]:
     """Upper and lower bounds on h3 from 2-D section growth rates."""
     if min(r, t, p, u, v) < 1 or q < 0 or s < 0:
         raise ValueError("need r, t, p, u, v >= 1 and q, s >= 0")

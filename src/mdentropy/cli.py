@@ -34,6 +34,7 @@ from .bounds import (
 )
 from .lattice import CapacityError, check_memory
 from .oracle import run_verification_suite
+from .spectral import MAX_ITER, SHIFT, TOL
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -105,7 +106,7 @@ def _cell(value) -> str:
 
 
 def _emit(args, columns, rows: list[dict], started: float, **parsed) -> None:
-    """Write the rows as CSV, or as a JSON run record of the command.
+    """Write the rows' `columns`, in that order, as CSV or as a JSON run record.
 
     The record's parameters are the parsed flags in their parser order, with
     the values in `parsed` (the lists parsed from text flags) in place of the text.
@@ -115,7 +116,7 @@ def _emit(args, columns, rows: list[dict], started: float, **parsed) -> None:
         record = {
             "command": args.command,
             "parameters": {**flags, **parsed},
-            "results": rows,
+            "results": [{c: row[c] for c in columns} for row in rows],
             "timings": {"total_seconds": time.perf_counter() - started},
             "version": __version__,
         }
@@ -175,17 +176,8 @@ def cmd_bounds(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     consistent = pair[1].value <= pair[0].value
-    rows = []
-    for bound in pair:
-        rows.append({
-            "target": bound.target,
-            "direction": bound.direction,
-            "value": bound.value,
-            "converged": bound.converged,
-            "formula": bound.formula,
-            "params": " ".join(f"{k}={v}" for k, v in bound.params.items()),
-            "consistent": consistent,
-        })
+    rows = [{**vars(bound), "params": " ".join(f"{k}={v}" for k, v in bound.params.items()),
+             "consistent": consistent} for bound in pair]
     _emit(args, BOUND_COLUMNS, rows, started, upper=upper, lower=lower)
     return EXIT_OK if all(bound.converged for bound in pair) else EXIT_NOT_CONVERGED
 
@@ -227,11 +219,9 @@ def cmd_table(args) -> int:
     shapes = [s for s in TABLE_SHAPES[args.which] if prod(s) <= args.max_size]
     for s in shapes:
         check_section(s, dimer_only)
-    results = [_beta_row(s, dimer_only, args.tol, args.shift, args.max_iters)
-               for s in shapes]
-    rows = [{c: row[c] for c in TABLE_COLUMNS} for row in results]
+    rows = [_beta_row(s, dimer_only, args.tol, args.shift, args.max_iters) for s in shapes]
     _emit(args, TABLE_COLUMNS, rows, started)
-    return EXIT_OK if all(row["converged"] for row in results) else EXIT_NOT_CONVERGED
+    return EXIT_OK if all(row["converged"] for row in rows) else EXIT_NOT_CONVERGED
 
 
 def _checked(convert, accept, requirement: str):
@@ -252,12 +242,15 @@ _shift = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number 
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
-def _add_spectral_flags(parser) -> None:
-    parser.add_argument("--tol", type=_tolerance, default=1e-12,
+def _add_tol_flag(parser) -> None:
+    parser.add_argument("--tol", type=_tolerance, default=TOL,
                         help="relative bracket width for convergence (finite, >= 0)")
-    parser.add_argument("--shift", type=_shift, default=1.0,
+
+
+def _add_iteration_flags(parser) -> None:
+    parser.add_argument("--shift", type=_shift, default=SHIFT,
                         help="diagonal shift for the power method (finite, > 0)")
-    parser.add_argument("--max-iters", type=_count, default=1_000_000,
+    parser.add_argument("--max-iters", type=_count, default=MAX_ITER,
                         dest="max_iters", help="iteration cap per bracket (>= 1); on odd"
                         " dimer-only sections one M^2 step counts once")
 
@@ -279,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_beta.add_argument("--dims", required=True,
                         help="section extents, comma separated (e.g. 4 or 3,3)")
     p_beta.add_argument("--dimer-only", action="store_true", dest="dimer_only")
-    _add_spectral_flags(p_beta)
+    _add_tol_flag(p_beta)
+    _add_iteration_flags(p_beta)
     _add_format_flag(p_beta)
     p_beta.set_defaults(func=cmd_beta)
 
@@ -290,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="r for h2/h2t, r,t for h3/h3t")
     p_bounds.add_argument("--lower", required=True,
                           help="p,q for h2/h2t, p,q,u,s,v for h3/h3t")
-    p_bounds.add_argument("--tol", type=_tolerance, default=1e-12,
-                          help="relative bracket width for convergence (finite, >= 0)")
+    _add_tol_flag(p_bounds)
     _add_format_flag(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -313,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--which", type=int, required=True, choices=(1, 2, 3, 4))
     p_table.add_argument("--max-size", type=_count, default=12, dest="max_size",
                          help="largest section point count to run (>= 1)")
-    _add_spectral_flags(p_table)
+    _add_tol_flag(p_table)
+    _add_iteration_flags(p_table)
     _add_format_flag(p_table)
     p_table.set_defaults(func=cmd_table)
 

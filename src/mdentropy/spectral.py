@@ -42,6 +42,10 @@ Brackets are computed in float64 from exact integer entries;
 certification is up to roundoff in entries and products, not interval
 arithmetic.  All reductions use fixed-order numpy sums, so results do not
 depend on BLAS thread counts.
+
+The defaults live here: TOL, the relative width that ends a bracket, SHIFT
+and MAX_ITER, its step cap.  `bounds` and the CLI flags read them, so a
+bound and a direct `transfer_log_radius` call share their cache entries.
 """
 
 from __future__ import annotations
@@ -51,10 +55,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TOL, SHIFT, MAX_ITER = 1e-12, 1.0, 1_000_000
+
 
 @dataclass
 class SpectralBracket:
-    """Certified interval around a spectral radius (shift already removed)."""
+    """Certified interval around a spectral radius (shift already removed);
+    `transfer_log_radius` returns one whose ends and estimate are logs."""
 
     lower: float
     upper: float
@@ -68,8 +75,8 @@ class SpectralBracket:
         return self.upper - self.lower
 
 
-def power_method(matrix, shift: float = 1.0, tol: float = 1e-12,
-                 max_iter: int = 1_000_000, history: list | None = None):
+def power_method(matrix, shift: float = SHIFT, tol: float = TOL,
+                 max_iter: int = MAX_ITER, history: list | None = None):
     """Bracket the spectral radius of a nonnegative matrix.
 
     `matrix` is a dense ndarray or scipy sparse matrix; `tol` is relative
@@ -97,8 +104,8 @@ def power_method(matrix, shift: float = 1.0, tol: float = 1e-12,
                                  labels if n_comp > 1 else None)
 
 
-def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-12,
-                          max_iter: int = 1_000_000, history: list | None = None,
+def operator_power_method(apply, size: int, shift: float = SHIFT, tol: float = TOL,
+                          max_iter: int = MAX_ITER, history: list | None = None,
                           sectors: np.ndarray | None = None):
     """Bracket the spectral radius of a nonnegative operator.
 
@@ -146,11 +153,8 @@ def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-
         spread = norms if sectors is None else np.take(norms, sectors, out=gathered, mode="clip")
         np.divide(v, spread, out=x)
 
-    iterations = 0
-    converged = False
     lower = upper = None
-    while iterations < max_iter:
-        iterations += 1
+    for iterations in range(1, max_iter + 1):
         y = apply(x)
         np.multiply(x, shift, out=scratch)
         np.add(y, scratch, out=y)
@@ -168,20 +172,13 @@ def operator_power_method(apply, size: int, shift: float = 1.0, tol: float = 1e-
         upper = high if upper is None else list(map(min, upper, high))
         top = upper.index(max(upper))
         bottom, ceiling, estimate = max(lower), upper[top], rayleigh[top]
+        bracket = SpectralBracket(bottom - shift, ceiling - shift, estimate - shift, iterations,
+                                  shift, ceiling - bottom <= tol * max(1.0, abs(estimate)))
         if history is not None:
-            history.append((iterations, bottom - shift, ceiling - shift, estimate - shift))
-        if ceiling - bottom <= tol * max(1.0, abs(estimate)):
-            converged = True
+            history.append((iterations, bracket.lower, bracket.upper, bracket.rayleigh))
+        if bracket.converged:
             break
         normalize(y)
-    bracket = SpectralBracket(
-        lower=bottom - shift,
-        upper=ceiling - shift,
-        rayleigh=estimate - shift,
-        iterations=iterations,
-        shift=shift,
-        converged=converged,
-    )
     normalize(x)
     if sectors is not None:
         x[sectors != top] = 0.0

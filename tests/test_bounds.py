@@ -52,6 +52,23 @@ def test_zero_extent_sections_are_exact():
     assert transfer_log_radius((4, 0)).lower == 4 * math.log(2.0)
     assert transfer_log_radius((0, 4)).lower == 4 * math.log(2.0)
     assert transfer_log_radius((0, 0)).lower == math.log(2.0)
+    # the estimate is the exact value too, and the caller's shift is echoed
+    assert bracket.rayleigh == bracket.lower == bracket.upper
+    assert bracket.shift == 1.0
+    shifted = transfer_log_radius((0,), shift=2.0)
+    assert shifted.shift == 2.0
+    assert shifted.rayleigh == shifted.lower == shifted.upper == math.log(2.0)
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_dimer_ring_brackets_contain_the_closed_form(m):
+    # Lieb, J. Math. Phys. 8, 2339 (1967): the dimer-only torus section (m,)
+    # has log rho = 1/2 sum_{k<m} asinh|sin((2k+1) pi / m)|, odd m through M^2
+    exact = 0.5 * math.fsum(math.asinh(abs(math.sin((2 * k + 1) * math.pi / m)))
+                            for k in range(m))
+    bracket = transfer_log_radius((m,), dimer_only=True)
+    assert bracket.converged
+    assert bracket.lower <= exact <= bracket.upper
 
 
 def test_section_dims_are_canonicalized():
