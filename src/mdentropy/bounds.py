@@ -93,10 +93,10 @@ def check_section(dims, dimer_only: bool = False) -> LatticeShape:
     MiB: three float64 vectors of 2^n (iterate, scratch, and the sweep
     operator's buffer, which holds the image) and the half-size products
     of doubled edges.  A dimer-only one, at 60 B per mask plus 1 MiB, adds
-    a gather buffer, the int64 sort order, int8 labels and their intp
-    copy in each spread of the sector norms, and the second operator of
-    an odd section's M^2 step.  Traced peaks per mask: 24-27 B, 49-50 B
-    dimer-only, 57-58 B odd.
+    a gather buffer, the int64 sort order, and int8 labels and their intp
+    copy in each spread of the sector norms.  An odd section's M^2 step
+    applies its one operator twice and holds no second one.  Traced peaks
+    per mask: 24-27 B, 49-50 B dimer-only of either parity.
     """
     shape = _section_shape(_canonical(dims))
     check_memory(((60 if dimer_only else 30) << shape.n) + (1 << 20),
@@ -180,13 +180,12 @@ def _log_radius(dims: tuple[int, ...], dimer_only: bool, tol: float, shift: floa
     shape = check_section(dims, dimer_only)
     pieces = SectionPieces(shape, SectionKind.TORUS, dimer_only)
     size = pieces.full + 1
-    apply, sectors, power = SweepOperator(pieces, (size,), np.float64), None, 1
+    sweep = SweepOperator(pieces, (size,), np.float64)
+    apply, sectors, power = sweep, None, 1
     if dimer_only:
         sectors = dimer_sectors(shape)
         if shape.n % 2:
-            # M^2: the second operator reads the first one's buffer, so it needs its own
-            first, second = apply, SweepOperator(pieces, (size,), np.float64)
-            apply, power = (lambda x: second(first(x))), 2
+            apply, power = (lambda x: sweep(sweep(x))), 2
     bracket, _ = operator_power_method(apply, size, shift=shift, tol=tol,
                                        max_iter=max_iter, sectors=sectors)
 

@@ -261,7 +261,9 @@ class SweepOperator:
 
     `shape` is (2^n,) or, for a batch of B vectors, (2^n, B).  A call
     returns the operator's buffer holding M x (see the module notes),
-    valid until the next call.  Only the pieces of `pieces` are read, so
+    valid until the next call.  x may be that buffer itself, so
+    `op(op(x))` is M^2 x: `np.copyto` copies a source that overlaps its
+    destination before writing.  Only the pieces of `pieces` are read, so
     a `SectionPieces` serves as well as a `CoverTable`.
     """
 

@@ -5,8 +5,14 @@ point, with the boundary behavior chosen per direction: tile (dimers stay
 inside, nothing protrudes), wrap (the direction closes into a torus, an
 extent of 2 giving a doubled edge and an extent of 1 no edge), or
 protrude (dimers may stick out through that direction's faces).  The
-geometry is rebuilt here directly from coordinates, independent of the
-bitmask tables, so agreement between the two paths checks both.
+geometry is rebuilt here, independent of `lattice`'s adjacency and the
+bitmask tables, so agreement between the two paths checks both.  It
+takes one rule per direction, read off each point's coordinate c in it
+by stride arithmetic: an edge to the next point while c < m - 1, the
+wrap edge back from c = m - 1, and a protrusion slot on each face.
+Each edge is listed once, at its lower end: a cover is built by
+covering the lowest uncovered point, so a dimer placed from it can only
+reach a higher point.
 
 Every total, of a whole region or of one vertex subset, comes from one
 memoized count.  Only the census, which records counts by number of
@@ -57,49 +63,22 @@ def resolve_boundary(dims, boundary) -> tuple[str, ...]:
 
 
 def _geometry(dims, modes):
-    """Neighbor lists (as bit, multiplicity) and slots from coordinates."""
-    d = len(dims)
+    """Edges at their lower end (as bit of the higher point, multiplicity) and slots."""
     n = prod(dims)
-    strides = []
-    s = 1
-    for m in dims:
-        strides.append(s)
-        s *= m
-    coords = [1] * d
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     slots = [0] * n
-
-    def add_edge(i, j, mult):
-        neighbors[i].append((1 << j, mult))
-        neighbors[j].append((1 << i, mult))
-
-    for i in range(n):
-        for k in range(d):
-            m, mode, stride = dims[k], modes[k], strides[k]
-            c = coords[k]
-            if mode == WRAP:
-                if m >= 3:
-                    if c < m:
-                        add_edge(i, i + stride, 1)
-                    else:
-                        add_edge(i, i - (m - 1) * stride, 1)
-                elif m == 2 and c == 1:
-                    add_edge(i, i + stride, 2)
-            else:
-                if c < m:
-                    add_edge(i, i + stride, 1)
-                if mode == PROTRUDE:
-                    if c == 1:
-                        slots[i] += 1
-                    if c == m:
-                        slots[i] += 1
-        # advance mixed-radix coordinates, first direction fastest
-        for k in range(d):
-            if coords[k] < dims[k]:
-                coords[k] += 1
-                break
-            coords[k] = 1
-    return neighbors, slots
+    stride = 1
+    for m, mode in zip(dims, modes):
+        for i in range(n):
+            c = i // stride % m
+            if c < m - 1:
+                edges[i].append((1 << i + stride, 2 if mode == WRAP and m == 2 else 1))
+            elif mode == WRAP and m >= 3:
+                edges[i - c * stride].append((1 << i, 1))
+            if mode == PROTRUDE:
+                slots[i] += (c == 0) + (c == m - 1)
+        stride *= m
+    return edges, slots
 
 
 @dataclass
@@ -114,7 +93,7 @@ class CoverCensus:
         return sum(self.by_dimers.values())
 
 
-def _search(neighbors, slots, mask: int, dimer_only: bool) -> dict[int, int]:
+def _search(edges, slots, mask: int, dimer_only: bool) -> dict[int, int]:
     """Unmemoized backtracking census by dimer count; exponential in covers."""
     by_dimers: dict[int, int] = {}
     monomer_ok = not dimer_only
@@ -130,7 +109,7 @@ def _search(neighbors, slots, mask: int, dimer_only: bool) -> dict[int, int]:
             rec(rest, dimers, weight)
         if slots[v]:
             rec(rest, dimers + 1, weight * slots[v])
-        for wbit, mult in neighbors[v]:
+        for wbit, mult in edges[v]:
             if rest & wbit:
                 rec(rest ^ wbit, dimers + 1, weight * mult)
 
@@ -138,7 +117,7 @@ def _search(neighbors, slots, mask: int, dimer_only: bool) -> dict[int, int]:
     return by_dimers
 
 
-def _count(neighbors, slots, mask: int, monomer_ok: bool, memo: dict) -> int:
+def _count(edges, slots, mask: int, monomer_ok: bool, memo: dict) -> int:
     """Memoized total count; reachable masks stay near the removal frontier."""
     if not mask:
         return 1
@@ -149,10 +128,10 @@ def _count(neighbors, slots, mask: int, monomer_ok: bool, memo: dict) -> int:
     v = low.bit_length() - 1
     rest = mask ^ low
     base = (1 if monomer_ok else 0) + slots[v]
-    total = base * _count(neighbors, slots, rest, monomer_ok, memo) if base else 0
-    for wbit, mult in neighbors[v]:
+    total = base * _count(edges, slots, rest, monomer_ok, memo) if base else 0
+    for wbit, mult in edges[v]:
         if rest & wbit:
-            total += mult * _count(neighbors, slots, rest ^ wbit, monomer_ok, memo)
+            total += mult * _count(edges, slots, rest ^ wbit, monomer_ok, memo)
     memo[mask] = total
     return total
 
@@ -171,16 +150,16 @@ def _checked(dims, boundary):
 def enumerate_covers(dims, boundary, dimer_only: bool = False) -> CoverCensus:
     """Census of covers of the whole region, split by dimer count."""
     dims, n, modes = _checked(dims, boundary)
-    neighbors, slots = _geometry(dims, modes)
-    by_dimers = _search(neighbors, slots, (1 << n) - 1, dimer_only)
+    edges, slots = _geometry(dims, modes)
+    by_dimers = _search(edges, slots, (1 << n) - 1, dimer_only)
     return CoverCensus(dims=dims, modes=modes, dimer_only=dimer_only, by_dimers=by_dimers)
 
 
 def count_covers(dims, boundary, dimer_only: bool = False) -> int:
     """Total cover count of the whole region; memoized, fast at full capacity."""
     dims, n, modes = _checked(dims, boundary)
-    neighbors, slots = _geometry(dims, modes)
-    return _count(neighbors, slots, (1 << n) - 1, not dimer_only, {})
+    edges, slots = _geometry(dims, modes)
+    return _count(edges, slots, (1 << n) - 1, not dimer_only, {})
 
 
 _KIND_MODES = {
@@ -196,8 +175,8 @@ def count_subset_covers(dims, kind: SectionKind, mask: int, dimer_only: bool = F
     dims, n, modes = _checked(dims, _KIND_MODES[kind](len(dims)))
     if not 0 <= mask < (1 << n):
         raise ValueError("subset mask outside the section")
-    neighbors, slots = _geometry(dims, modes)
-    return _count(neighbors, slots, mask, not dimer_only, {})
+    edges, slots = _geometry(dims, modes)
+    return _count(edges, slots, mask, not dimer_only, {})
 
 
 @dataclass

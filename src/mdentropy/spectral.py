@@ -13,8 +13,11 @@ of bipartite matrices.  On a direct sum, a single positive vector would
 pin the lower ratio to the weakest block forever; but each block's
 ratios bracket its own radius, and the largest of those is rho(A), so
 the bracket is [max of the blocks' lower ends, max of their upper ends].
-The estimate is the Rayleigh quotient <x, y> / <x, x>, a mean of the
-ratios y_i / x_i with weights x_i^2, so it lies inside the bracket.
+The estimate is the Rayleigh quotient <x, y> / <x, x> of the block with
+the largest upper end, a mean of its ratios y_i / x_i with weights x_i^2,
+so it lies inside that block's own bracket.  Another block's lower end
+can still set the bracket's bottom above it, so the estimate is clamped
+into the bracket.
 
 `operator_power_method` is the one driver.  It takes an operator given
 only by its product, such as the site sweep of the full transfer matrix,
@@ -131,6 +134,7 @@ def operator_power_method(apply, size: int, shift: float = SHIFT, tol: float = T
         def per_sector(values, *ufuncs):
             return [ufunc.reduce(values, keepdims=True) for ufunc in ufuncs]
     else:
+        sectors = np.asarray(sectors)
         counts = np.bincount(sectors)
         if sectors.shape != (size,) or not counts.all():
             raise ValueError("sector labels must be 0, 1, ..., k - 1 over the whole vector")
@@ -171,7 +175,8 @@ def operator_power_method(apply, size: int, shift: float = SHIFT, tol: float = T
         lower = low if lower is None else list(map(max, lower, low))
         upper = high if upper is None else list(map(min, upper, high))
         top = upper.index(max(upper))
-        bottom, ceiling, estimate = max(lower), upper[top], rayleigh[top]
+        bottom, ceiling = max(lower), upper[top]
+        estimate = min(max(rayleigh[top], bottom), ceiling)
         bracket = SpectralBracket(bottom - shift, ceiling - shift, estimate - shift, iterations,
                                   shift, ceiling - bottom <= tol * max(1.0, abs(estimate)))
         if history is not None:

@@ -162,13 +162,22 @@ def test_twenty_point_monomer_dimer_brackets(dims, log_radius, iterations):
     ((4, 4), False, 12.579237522614907, 12.579237522615461, 12.57923752261495, 14),
     # edges of multiplicity 2
     ((8, 2), False, 12.73331085128287, 12.733310851283044, 12.733310851282884, 14),
-    # odd, dimer-only: steps of M^2 through two operators
+    # odd, dimer-only: steps of M^2, one operator applied twice
     ((5, 3), True, 6.635849119910925, 6.635849119910947, 6.635849119910935, 11),
 ], ids=["16", "17", "4x4", "8x2", "dimer-5x3"])
 def test_pinned_brackets(dims, dimer_only, lower, upper, rayleigh, iterations):
     bracket = transfer_log_radius(dims, dimer_only)
     got = (bracket.lower, bracket.upper, bracket.rayleigh, bracket.iterations)
     assert repr(got) == repr((lower, upper, rayleigh, iterations))
+
+
+def test_capped_estimate_stays_inside_its_bracket():
+    # one step of the 3-point dimer ring through M^2: the top sector's
+    # estimate fell below the other sector's lower end
+    bracket = transfer_log_radius((3,), dimer_only=True, max_iter=1)
+    assert not bracket.converged
+    assert bracket.rayleigh == bracket.lower == math.log(2.0)
+    assert bracket.rayleigh <= bracket.upper
 
 
 def test_eighteen_point_dimer_only_bracket():

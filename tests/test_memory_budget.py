@@ -77,7 +77,7 @@ LAYERS = {
     "sweep-14": lambda: (bounds.transfer_log_radius, (14,)),
     "sweep-2x2x2x2": lambda: (bounds.transfer_log_radius, (2, 2, 2, 2)),
     "dimer-4x4": lambda: (partial(bounds.transfer_log_radius, dimer_only=True), (4, 4)),
-    # an M^2 step keeps one more vector of 2^n alive
+    # an M^2 step applies one operator twice
     "dimer-5x3": lambda: (partial(bounds.transfer_log_radius, dimer_only=True), (5, 3)),
     "table-16": lambda: (table, (16,)),
     "table-protruding-4x4": lambda: (partial(table, kind=SectionKind.PROTRUDING), (4, 4)),
@@ -109,6 +109,15 @@ def test_predicted_bytes_bound_the_traced_peak(predictions, case):
     assert predictions, "the layer made no budget check"
     # the largest check is the one made up front, for the whole path
     assert peak <= max(predictions), (peak, predictions)
+
+
+def test_an_odd_dimer_only_bracket_holds_one_operator(predictions):
+    # M^2 applies one sweep operator twice: 49.5 B per mask traced at (5, 3),
+    # where a second operator's buffer made it 57.9
+    bounds.transfer_log_radius((3,), dimer_only=True)
+    bounds.transfer_log_radius.cache_clear()
+    peak = traced_peak(lambda: bounds.transfer_log_radius((5, 3), dimer_only=True))
+    assert peak <= 52 << 15, peak / (1 << 15)
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,14 @@
 import random
+from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
 
+from mdentropy import oracle
 from mdentropy.bounds import one_dim_counts
 from mdentropy.lattice import CapacityError, LatticeShape
-from mdentropy.matchcount import CoverTable, SectionKind, exact_dtype
+from mdentropy.matchcount import CoverTable, SectionKind, exact_dtype, section_config
 from mdentropy.oracle import (
     count_covers,
     count_subset_covers,
@@ -97,6 +100,23 @@ def test_transpose_invariance():
     for a, b in [((2, 3), (3, 2)), ((2, 2, 3), (3, 2, 2))]:
         for boundary in ("tiling", "periodic", "protruding"):
             assert count_covers(a, boundary) == count_covers(b, boundary)
+
+
+GEOMETRY_SHAPES = [dims for d in (1, 2, 3) for dims in product(range(1, 5), repeat=d)
+                   if prod(dims) <= 24]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_geometry_matches_the_section_config(kind):
+    # the oracle lists each edge once, at its lower end, as the bit of its
+    # higher end; as (i, j, mult) with i < j its edges are the adjacency's
+    for dims in GEOMETRY_SHAPES:
+        edges, slots = oracle._geometry(dims, oracle._KIND_MODES[kind](len(dims)))
+        adjacency, want_slots = section_config(LatticeShape(dims), kind)
+        got = sorted((i, bit.bit_length() - 1, mult) for i, at in enumerate(edges)
+                     for bit, mult in at)
+        assert got == list(adjacency.edges), dims
+        assert tuple(slots) == want_slots, dims
 
 
 @pytest.mark.parametrize("dims", [(5,), (3, 2), (2, 2, 2)])

@@ -126,9 +126,21 @@ def test_operator_sectors_bracket_a_reducible_operator():
     # the returned vector lives on the dominant sector
     assert vector[2] > 0
     assert vector[0] == vector[1] == 0.0
+    listed, listed_vector = operator_power_method(matrix.__matmul__, 3, sectors=[1, 1, 0])
+    assert listed == bracket
+    assert np.array_equal(listed_vector, vector)
     for bad in ([0, 0, 2], [1, 1, 1], [0, 1]):
         with pytest.raises(ValueError, match="sector labels"):
             operator_power_method(matrix.__matmul__, 3, sectors=np.array(bad, dtype=np.int8))
+
+
+def test_estimate_is_clamped_into_the_bracket():
+    # after one step the top block's Rayleigh quotient, 3.5, lies below the
+    # other block's lower end, 4, which is the bracket's bottom
+    bracket, _ = power_method([[1, .5, 0], [.5, 5, 0], [0, 0, 4]], max_iter=1)
+    assert not bracket.converged
+    assert (bracket.lower, bracket.rayleigh) == (4.0, 4.0)
+    assert bracket.rayleigh <= bracket.upper
 
 
 def test_sparse_input_agrees_with_dense():
