@@ -17,7 +17,7 @@ from .bounds import (
     section_quotient,
     transfer_log_radius,
 )
-from .lattice import Adjacency, CapacityError, LatticeShape, build_adjacency
+from .lattice import CapacityError, LatticeShape, section_geometry
 from .matchcount import CoverTable, SectionKind
 from .oracle import CoverCensus, enumerate_covers, run_verification_suite
 from .spectral import SpectralBracket, power_method
@@ -25,7 +25,6 @@ from .symmetry import OrbitSpace, compute_orbits, generate_motion_group
 from .transfer import QuotientMatrix, build_quotient, weighted_symmetry_ok
 
 __all__ = [
-    "Adjacency",
     "CapacityError",
     "CoverCensus",
     "CoverTable",
@@ -36,7 +35,6 @@ __all__ = [
     "QuotientMatrix",
     "SectionKind",
     "SpectralBracket",
-    "build_adjacency",
     "build_quotient",
     "compute_orbits",
     "dimer_lower",
@@ -51,6 +49,7 @@ __all__ = [
     "permanent_matching_lower",
     "power_method",
     "run_verification_suite",
+    "section_geometry",
     "section_orbit_count",
     "section_quotient",
     "transfer_log_radius",

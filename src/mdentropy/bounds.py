@@ -40,10 +40,12 @@ All logarithms are natural and 0 log 0 = 0 throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -66,7 +68,7 @@ class EntropyBound:
 
 
 def _canonical(dims) -> tuple[int, ...]:
-    out = tuple(sorted((int(m) for m in dims), reverse=True))
+    out = tuple(sorted(map(operator.index, dims), reverse=True))
     if not out:
         raise ValueError("empty section dims")
     if any(m < 0 for m in out):
@@ -234,6 +236,8 @@ def _bound_pair(d: int, dimer_only: bool, tol: float, upper: tuple,
 def h2_bounds(r: int, p: int, q: int, dimer_only: bool = False,
               tol: float = TOL) -> tuple[EntropyBound, EntropyBound]:
     """Upper and lower bounds on h2 from section growth rates."""
+    if not all(isinstance(x, Integral) for x in (r, p, q)):
+        raise ValueError(f"bound parameters must be integers, got {(r, p, q)}")
     if r < 1 or p < 1 or q < 0:
         raise ValueError("need r >= 1, p >= 1, q >= 0")
     return _bound_pair(
@@ -248,6 +252,8 @@ def h3_bounds(r: int, t: int, p: int, q: int, u: int, s: int, v: int,
               dimer_only: bool = False,
               tol: float = TOL) -> tuple[EntropyBound, EntropyBound]:
     """Upper and lower bounds on h3 from 2-D section growth rates."""
+    if not all(isinstance(x, Integral) for x in (r, t, p, q, u, s, v)):
+        raise ValueError(f"bound parameters must be integers, got {(r, t, p, q, u, s, v)}")
     if min(r, t, p, u, v) < 1 or q < 0 or s < 0:
         raise ValueError("need r, t, p, u, v >= 1 and q, s >= 0")
     return _bound_pair(

@@ -4,23 +4,29 @@ A cross-section is a box <m> = <m_1> x ... x <m_k> of lattice points.
 Points are indexed row-major with the first coordinate varying fastest,
 so subsets of the section are plain bitmasks over point indices.
 
-Geometry is set per direction, by 1-based direction numbers.  Adjacency
-joins neighbors along every direction and closes the directions it is
-given to wrap around.  Wrapping a direction of extent 2 yields a single
-edge of multiplicity 2, because the two wrap-around dimer placements
-between the same pair of points are distinct configurations; extent 1
-yields no edge in that direction.  Protrusion slots count, per point, the
-outward dimer placements available through the boundary faces of the
-directions they are given.
+Geometry is set by one mode per direction.  Every direction joins
+neighbors; a tiled direction (TILE) adds nothing more, a wrapped one
+(WRAP) closes into a torus, and a protruding one (PROTRUDE) lets dimers
+stick out through its two faces.  Wrapping a direction of extent 2 yields
+a single edge of multiplicity 2, because the two wrap-around dimer
+placements between the same pair of points are distinct configurations;
+extent 1 yields no edge in that direction.  `section_geometry` builds the
+edges and the per-point protrusion slots in one pass over the points.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import prod
 
 MAX_MASK_POINTS = 64
 MEMORY_BUDGET = 1 << 30
+
+TILE = "tile"
+WRAP = "wrap"
+PROTRUDE = "protrude"
+MODES = (TILE, WRAP, PROTRUDE)
 
 
 class CapacityError(ValueError):
@@ -44,7 +50,7 @@ class LatticeShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(m) for m in self.dims))
+        object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
         if not self.dims:
             raise ValueError("shape needs at least one dimension")
         if any(m < 1 for m in self.dims):
@@ -77,60 +83,36 @@ class LatticeShape:
         return tuple(coords)
 
 
-@dataclass(frozen=True)
-class Adjacency:
-    """Undirected multigraph on section points; each unordered pair stored once."""
+def section_geometry(shape: LatticeShape, modes) -> tuple[tuple, tuple[int, ...]]:
+    """Edges and protrusion slots of a section, one mode per direction.
 
-    wrapped: tuple[int, ...]  # 1-based directions that wrap around, ascending
-    n: int
-    edges: tuple[tuple[int, int, int], ...]  # (i, j, multiplicity) with i < j
-
-    def neighbor_lists(self) -> list[list[tuple[int, int]]]:
-        """Per-point list of (neighbor, multiplicity), both directions."""
-        nbr: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for i, j, mult in self.edges:
-            nbr[i].append((j, mult))
-            nbr[j].append((i, mult))
-        return nbr
-
-
-def _directions(shape: LatticeShape, directions) -> tuple[int, ...]:
-    """Distinct 1-based directions, ascending; ValueError outside the shape."""
-    dirs = tuple(sorted(set(int(k) for k in directions)))
-    for k in dirs:
-        if not 1 <= k <= len(shape.dims):
-            raise ValueError(f"direction {k} outside 1..{len(shape.dims)}")
-    return dirs
-
-
-def build_adjacency(shape: LatticeShape, wrapped) -> Adjacency:
-    """Edges of the section multigraph, wrapping the 1-based `wrapped` directions."""
-    wrapped = _directions(shape, wrapped)
+    Edges are (i, j, multiplicity) with i < j, sorted; slots count, per
+    point, the outward dimer placements through the faces of the
+    protruding directions.  A point on the low face of such a direction
+    gets one slot, on the high face another; extent 1 puts the point on
+    both faces.
+    """
+    modes = tuple(modes)
+    if len(modes) != len(shape.dims) or not all(mode in MODES for mode in modes):
+        raise ValueError(f"need one of {MODES} for each of the {len(shape.dims)} "
+                         f"directions, got {modes!r}")
     edges: list[tuple[int, int, int]] = []
+    slots = []
     strides = shape.strides()
     for index in range(shape.n):
-        coords = shape.point_coords(index)
-        for k, m in enumerate(shape.dims):
-            s = strides[k]
+        slot = 0
+        for c, m, s, mode in zip(shape.point_coords(index), shape.dims, strides, modes):
             # a wrapped extent 2 doubles its one edge, a wrapped extent 1
             # adds none: its dimer would cover one point twice
-            if coords[k] < m:
-                edges.append((index, index + s, 2 if m == 2 and k + 1 in wrapped else 1))
-            elif m >= 3 and k + 1 in wrapped:
+            if c < m:
+                edges.append((index, index + s, 2 if m == 2 and mode == WRAP else 1))
+            elif m >= 3 and mode == WRAP:
                 edges.append((index - (m - 1) * s, index, 1))
+            if mode == PROTRUDE:
+                slot += (c == 1) + (c == m)
+        slots.append(slot)
     edges.sort()
     pairs = [(i, j) for i, j, _ in edges]
     if len(set(pairs)) != len(pairs):
-        raise AssertionError("duplicate edge pair in adjacency construction")
-    return Adjacency(wrapped=wrapped, n=shape.n, edges=tuple(edges))
-
-
-def protrusion_slots(shape: LatticeShape, directions) -> tuple[int, ...]:
-    """Per-point count of outward dimer slots through the faces of `directions`.
-
-    Directions are 1-based.  A point on the low face of a direction gets one
-    slot, on the high face another; extent 1 puts the point on both faces.
-    """
-    dirs = _directions(shape, directions)
-    return tuple(sum((c[k - 1] == 1) + (c[k - 1] == shape.dims[k - 1]) for k in dirs)
-                 for c in map(shape.point_coords, range(shape.n)))
+        raise AssertionError("duplicate edge pair in the section geometry")
+    return tuple(edges), tuple(slots)

@@ -85,12 +85,12 @@ product bounds every count, and the partial sums, which only grow, never
 exceed the final counts.  Otherwise it is accumulated in Python integers
 (object dtype).  Either way `counts` is a list of Python integers.
 
-A section kind fixes which dimers are admissible by the directions it
-wraps and those through whose faces dimers may protrude: the box kind
-neither (tilings), the torus kind wraps every direction, the mixed kind
-wraps the first and protrudes through the rest, and the protruding kind
-protrudes through every direction.  For a 1-D section the mixed kind has
-no remaining directions, so it coincides with the torus kind.
+A section kind fixes which dimers are admissible by one mode per
+direction (see `lattice`): the box kind tiles every direction (tilings),
+the torus kind wraps every direction, the mixed kind wraps the first and
+protrudes through the rest, and the protruding kind protrudes through
+every direction.  For a 1-D section the mixed kind has no remaining
+directions, so it coincides with the torus kind.
 """
 
 from __future__ import annotations
@@ -101,13 +101,7 @@ from math import prod
 
 import numpy as np
 
-from .lattice import (
-    Adjacency,
-    LatticeShape,
-    build_adjacency,
-    check_memory,
-    protrusion_slots,
-)
+from .lattice import PROTRUDE, TILE, WRAP, LatticeShape, check_memory, section_geometry
 
 _INT64_LIMIT = 1 << 63
 # pieces whose contiguous run (the last axis of the update) holds at most
@@ -126,21 +120,26 @@ class SectionKind(enum.Enum):
     PROTRUDING = "protruding"
 
 
-# (wrapped, protruding) 1-based directions of each kind, given its k directions
-_KIND_DIRECTIONS = {
-    SectionKind.BOX: lambda k: ((), ()),
-    SectionKind.TORUS: lambda k: (range(1, k + 1), ()),
-    SectionKind.MIXED: lambda k: ((1,), range(2, k + 1)),
-    SectionKind.PROTRUDING: lambda k: ((), range(1, k + 1)),
+# the mode of each kind's first direction and of the rest
+_KIND_MODES = {
+    SectionKind.BOX: (TILE, TILE),
+    SectionKind.TORUS: (WRAP, WRAP),
+    SectionKind.MIXED: (WRAP, PROTRUDE),
+    SectionKind.PROTRUDING: (PROTRUDE, PROTRUDE),
 }
 
 
-def section_config(shape: LatticeShape, kind: SectionKind) -> tuple[Adjacency, tuple[int, ...]]:
-    """Adjacency and protrusion slots realizing a section kind."""
+def kind_modes(kind: SectionKind, d: int) -> tuple[str, ...]:
+    """The mode of each of the d directions of a section kind."""
     if not isinstance(kind, SectionKind):
         raise ValueError(f"unknown section kind {kind!r}")
-    wrapped, protruding = _KIND_DIRECTIONS[kind](len(shape.dims))
-    return build_adjacency(shape, wrapped), protrusion_slots(shape, protruding)
+    first, rest = _KIND_MODES[kind]
+    return tuple(first if k == 0 else rest for k in range(d))
+
+
+def section_config(shape: LatticeShape, kind: SectionKind) -> tuple[tuple, tuple[int, ...]]:
+    """Edges and protrusion slots realizing a section kind; see `section_geometry`."""
+    return section_geometry(shape, kind_modes(kind, len(shape.dims)))
 
 
 def exact_dtype(bound: int):
@@ -194,8 +193,8 @@ def _add_scaled(target: np.ndarray, source: np.ndarray, factor: int) -> None:
 class SectionPieces:
     """The pieces from which covers of one section configuration are built.
 
-    `point_weights[v]` counts the ways to cover v alone, `adjacency.edges`
-    holds the edge pieces (v, w, multiplicity); that is all the sweep
+    `point_weights[v]` counts the ways to cover v alone, `edges` holds
+    the edge pieces (v, w, multiplicity); that is all the sweep
     reads, so no cover count is computed here.
     """
 
@@ -203,7 +202,7 @@ class SectionPieces:
         self.shape = shape
         self.kind = kind
         self.dimer_only = bool(dimer_only)
-        self.adjacency, self.slots = section_config(shape, kind)
+        self.edges, self.slots = section_config(shape, kind)
         # ways to cover a point alone: a monomer (unless dimer-only) or a
         # dimer through one of its protrusion slots
         self.point_weights = tuple(
@@ -226,10 +225,11 @@ class CoverTable(SectionPieces):
         self.counts = self._build()
 
     def _build(self) -> list[int]:
-        bound = prod(
-            weight + sum(mult for _, mult in nbrs)
-            for weight, nbrs in zip(self.point_weights, self.adjacency.neighbor_lists())
-        )
+        degrees = list(self.point_weights)
+        for v, w, mult in self.edges:
+            degrees[v] += mult
+            degrees[w] += mult
+        bound = prod(degrees)
         check_memory((16 + 2 * sys.getsizeof(bound)) << self.shape.n,
                      f"a {self.shape.n}-point cover table")
         e = np.zeros(self.full + 1, dtype=exact_dtype(bound))
@@ -272,7 +272,7 @@ class SweepOperator:
         if len(self.shape) not in (1, 2) or self.shape[0] != pieces.full + 1:
             raise ValueError(f"array of shape {self.shape} does not match {pieces.full + 1} masks")
         self.buffer = np.empty(self.shape, dtype=dtype)
-        self._updates = piece_views(self.buffer, pieces.point_weights, pieces.adjacency.edges)
+        self._updates = piece_views(self.buffer, pieces.point_weights, pieces.edges)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if x.shape != self.shape:

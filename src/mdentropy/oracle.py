@@ -4,9 +4,10 @@ Covers are enumerated one by one by backtracking on the lowest uncovered
 point, with the boundary behavior chosen per direction: tile (dimers stay
 inside, nothing protrudes), wrap (the direction closes into a torus, an
 extent of 2 giving a doubled edge and an extent of 1 no edge), or
-protrude (dimers may stick out through that direction's faces).  The
-geometry is rebuilt here, independent of `lattice`'s adjacency and the
-bitmask tables, so agreement between the two paths checks both.  It
+protrude (dimers may stick out through that direction's faces); the
+modes are `lattice`'s, and a section kind's come from `kind_modes`.  The
+geometry is rebuilt here, independent of `lattice.section_geometry` and
+the bitmask tables, so agreement between the two paths checks both.  It
 takes one rule per direction, read off each point's coordinate c in it
 by stride arithmetic: an edge to the next point while c < m - 1, the
 wrap edge back from c = m - 1, and a protrusion slot on each face.
@@ -23,18 +24,14 @@ both.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import prod
 
 from .bounds import one_dim_counts
-from .lattice import CapacityError, LatticeShape
-from .matchcount import CoverTable, SectionKind
+from .lattice import MODES, PROTRUDE, TILE, WRAP, CapacityError, LatticeShape
+from .matchcount import CoverTable, SectionKind, kind_modes
 from .transfer import full_trace_power, quadratic_form_count
-
-TILE = "tile"
-WRAP = "wrap"
-PROTRUDE = "protrude"
-_MODES = (TILE, WRAP, PROTRUDE)
 
 MAX_ORACLE_POINTS = 20
 
@@ -57,7 +54,7 @@ def resolve_boundary(dims, boundary) -> tuple[str, ...]:
             raise ValueError(f"unknown boundary name {boundary!r}")
         return (_NAMED[boundary],) * d
     seq = tuple(boundary)
-    if len(seq) == d and all(x in _MODES for x in seq):
+    if len(seq) == d and all(x in MODES for x in seq):
         return seq
     raise ValueError(f"cannot interpret boundary {boundary!r} for {d} directions")
 
@@ -138,7 +135,7 @@ def _count(edges, slots, mask: int, monomer_ok: bool, memo: dict) -> int:
 
 def _checked(dims, boundary):
     """Integer extents, point count and modes; the one region limit check."""
-    dims = tuple(int(m) for m in dims)
+    dims = tuple(map(operator.index, dims))
     if any(m < 1 for m in dims):
         raise ValueError(f"extents must be positive, got {dims}")
     n = prod(dims)
@@ -162,17 +159,9 @@ def count_covers(dims, boundary, dimer_only: bool = False) -> int:
     return _count(edges, slots, (1 << n) - 1, not dimer_only, {})
 
 
-_KIND_MODES = {
-    SectionKind.BOX: lambda d: (TILE,) * d,
-    SectionKind.TORUS: lambda d: (WRAP,) * d,
-    SectionKind.MIXED: lambda d: (WRAP,) + (PROTRUDE,) * (d - 1),
-    SectionKind.PROTRUDING: lambda d: (PROTRUDE,) * d,
-}
-
-
 def count_subset_covers(dims, kind: SectionKind, mask: int, dimer_only: bool = False) -> int:
     """Covers of one vertex subset of a section, counted from coordinates."""
-    dims, n, modes = _checked(dims, _KIND_MODES[kind](len(dims)))
+    dims, n, modes = _checked(dims, kind_modes(kind, len(dims)))
     if not 0 <= mask < (1 << n):
         raise ValueError("subset mask outside the section")
     edges, slots = _geometry(dims, modes)
@@ -210,12 +199,12 @@ def verify_transfer_identities(section_dims, layers: int) -> list[IdentityCheck]
         tables = {kind: CoverTable(shape, kind, dimer_only) for kind in kinds}
         for kind, table in tables.items():
             lhs = full_trace_power(table, layers)
-            rhs = count_covers(dims, _KIND_MODES[kind](len(section_dims)) + (WRAP,), dimer_only)
+            rhs = count_covers(dims, kind_modes(kind, len(section_dims)) + (WRAP,), dimer_only)
             checks.append(IdentityCheck(f"trace:{kind.value}:{tag}", lhs, rhs))
         for kind, table in tables.items():
             if layers >= 2 and kind is not SectionKind.BOX:
                 lhs = quadratic_form_count(table, layers)
-                rhs = count_covers(dims, _KIND_MODES[kind](len(section_dims)) + (TILE,), dimer_only)
+                rhs = count_covers(dims, kind_modes(kind, len(section_dims)) + (TILE,), dimer_only)
                 checks.append(IdentityCheck(f"form:{kind.value}:{tag}", lhs, rhs))
     return checks
 

@@ -135,8 +135,9 @@ def operator_power_method(apply, size: int, shift: float = SHIFT, tol: float = T
             return [ufunc.reduce(values, keepdims=True) for ufunc in ufuncs]
     else:
         sectors = np.asarray(sectors)
-        counts = np.bincount(sectors)
-        if sectors.shape != (size,) or not counts.all():
+        # kind, shape and sign first: bincount raises its own errors on them
+        if not (np.can_cast(sectors.dtype, np.intp) and sectors.shape == (size,)
+                and sectors.min() >= 0 and (counts := np.bincount(sectors)).all()):
             raise ValueError("sector labels must be 0, 1, ..., k - 1 over the whole vector")
         order = np.argsort(sectors, kind="stable")
         starts = np.cumsum(counts) - counts

@@ -21,7 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .lattice import Adjacency, LatticeShape, check_memory
+from .lattice import LatticeShape, check_memory
 
 
 def generate_motion_group(shape: LatticeShape) -> tuple[tuple[int, ...], ...]:
@@ -62,18 +62,11 @@ def apply_to_mask(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def is_adjacency_automorphism(perm: tuple[int, ...], adjacency: Adjacency) -> bool:
-    """Whether the permutation preserves edges with multiplicities."""
-    edges = {}
-    for i, j, mult in adjacency.edges:
-        edges[(i, j)] = mult
-    for (i, j), mult in edges.items():
-        a, b = perm[i], perm[j]
-        if a > b:
-            a, b = b, a
-        if edges.get((a, b)) != mult:
-            return False
-    return True
+def is_adjacency_automorphism(perm: tuple[int, ...], edges) -> bool:
+    """Whether the permutation preserves the edges (i, j, multiplicity), i < j."""
+    mults = {(i, j): mult for i, j, mult in edges}
+    return all(mults.get((min(perm[i], perm[j]), max(perm[i], perm[j]))) == mult
+               for (i, j), mult in mults.items())
 
 
 @dataclass

@@ -237,7 +237,7 @@ def _plan(table: CoverTable, power: int, weights: list[int],
     width = max(1, (_BLOCK_ENTRIES >> n) // k)
     check_memory((24 * k * min(width, len(weights))) << n,
                  f"M^{power} over {n} points on {k} int64 residues")
-    pieces = sum(map(bool, table.point_weights)) + len(table.adjacency.edges)
+    pieces = sum(map(bool, table.point_weights)) + len(table.edges)
     work = -(-t // 2) * k * len(weights) * pieces << n
     if work > SWEEP_WORK_MAX:
         raise CapacityError(f"M^{t} over {n} points predicts {work:.1e} element updates; "

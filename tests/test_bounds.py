@@ -140,6 +140,11 @@ def test_section_capacity_and_validation():
         section_quotient(())
     with pytest.raises(ValueError):
         section_quotient((-2,))
+    # extents are integers: (4.5,) used to be bracketed as (4,)
+    with pytest.raises(TypeError):
+        transfer_log_radius((4.5,))
+    with pytest.raises(TypeError):
+        check_section((3, 2.0))
 
 
 @pytest.mark.parametrize("dims,log_radius,iterations", [
@@ -281,6 +286,17 @@ def test_bound_parameter_validation():
         h3_bounds(1, 1, 1, -1, 1, 1, 1)
     with pytest.raises(CapacityError):
         h2_bounds(13, 1, 1)
+    # non-integers are refused before any bracket runs: 2.5 used to be
+    # truncated into an upper bound below h2, and q = 1.5 into a lower
+    # bound above its own upper one; r = 30.5 would be past capacity
+    for args in [(2.5, 1, 1), (2, 1, 1.5), (30.5, 1, 1), (2, 1.0, 1)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            h2_bounds(*args)
+    for k in range(7):
+        args = [1, 1, 1, 1, 1, 1, 1]
+        args[k] = 1.5
+        with pytest.raises(ValueError, match="must be integers"):
+            h3_bounds(*args)
 
 
 @pytest.mark.parametrize("bound, args, kwargs", [

@@ -1,12 +1,14 @@
 import pytest
 
-from mdentropy.lattice import (
-    Adjacency,
-    CapacityError,
-    LatticeShape,
-    build_adjacency,
-    protrusion_slots,
-)
+from mdentropy.lattice import PROTRUDE, TILE, WRAP, CapacityError, LatticeShape, section_geometry
+
+
+def edges(dims, modes):
+    return section_geometry(LatticeShape(dims), modes)[0]
+
+
+def slots(dims, modes):
+    return section_geometry(LatticeShape(dims), modes)[1]
 
 
 def test_point_coords_first_coordinate_fastest():
@@ -34,94 +36,79 @@ def test_shape_validation():
         LatticeShape((65,))
     with pytest.raises(ValueError):
         LatticeShape((4,)).point_coords(4)
+    # extents are integers: 4.5 is not truncated to 4
+    with pytest.raises(TypeError):
+        LatticeShape((4.5,))
 
 
 def test_box_adjacency_path():
-    adj = build_adjacency(LatticeShape((3,)), ())
-    assert adj.edges == ((0, 1, 1), (1, 2, 1))
+    assert edges((3,), (TILE,)) == ((0, 1, 1), (1, 2, 1))
+    assert slots((3,), (TILE,)) == (0, 0, 0)
 
 
 def test_torus_adjacency_ring():
-    adj = build_adjacency(LatticeShape((4,)), [1])
-    assert adj.edges == ((0, 1, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1))
+    assert edges((4,), (WRAP,)) == ((0, 1, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1))
 
 
 def test_torus_extent_two_doubles_edge():
-    adj = build_adjacency(LatticeShape((2,)), [1])
-    assert adj.edges == ((0, 1, 2),)
+    assert edges((2,), (WRAP,)) == ((0, 1, 2),)
+    assert edges((2,), (PROTRUDE,)) == ((0, 1, 1),)
 
 
 def test_torus_extent_one_has_no_edge():
-    adj = build_adjacency(LatticeShape((1,)), [1])
-    assert adj.edges == ()
+    assert edges((1,), (WRAP,)) == ()
 
 
 def test_wrap_first_wraps_only_first_axis():
-    adj = build_adjacency(LatticeShape((3, 3)), [1])
-    pairs = {(i, j) for i, j, _ in adj.edges}
+    pairs = {(i, j) for i, j, _ in edges((3, 3), (WRAP, TILE))}
     assert (0, 2) in pairs      # wrap along axis 1
     assert (0, 6) not in pairs  # no wrap along axis 2
     assert (0, 3) in pairs
-    assert adj.wrapped == (1,)
 
 
 def test_wrapping_the_second_direction_only():
-    adj = build_adjacency(LatticeShape((3, 3)), [2])
-    pairs = {(i, j) for i, j, _ in adj.edges}
+    pairs = {(i, j) for i, j, _ in edges((3, 3), (TILE, WRAP))}
     assert (0, 6) in pairs and (0, 2) not in pairs
-    assert adj.wrapped == (2,)
 
 
-def test_wrapped_directions_are_validated_like_protrusion_directions():
-    shape = LatticeShape((3, 2))
-    assert build_adjacency(shape, [2, 1, 2]).wrapped == (1, 2)
-    assert build_adjacency(shape, range(1, 3)) == build_adjacency(shape, (1, 2))
-    for directions in ([0], [3], [1, 3]):
-        with pytest.raises(ValueError, match="direction"):
-            build_adjacency(shape, directions)
-        with pytest.raises(ValueError, match="direction"):
-            protrusion_slots(shape, directions)
+def test_mixed_square_wraps_one_direction_and_protrudes_through_the_other():
+    # points 0-2 form the first row; the second direction's faces are rows 1 and 3
+    edge_list, slot_list = section_geometry(LatticeShape((3, 3)), (WRAP, PROTRUDE))
+    assert edge_list == ((0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 4, 1), (2, 5, 1),
+                         (3, 4, 1), (3, 5, 1), (3, 6, 1), (4, 5, 1), (4, 7, 1), (5, 8, 1),
+                         (6, 7, 1), (6, 8, 1), (7, 8, 1))
+    assert slot_list == (1, 1, 1, 0, 0, 0, 1, 1, 1)
 
 
 def test_grid_edge_count():
-    adj = build_adjacency(LatticeShape((4, 4)), ())
-    assert len(adj.edges) == 2 * 3 * 4
-    torus = build_adjacency(LatticeShape((4, 4)), [1, 2])
-    assert len(torus.edges) == 2 * 4 * 4
-
-
-def test_neighbor_lists_are_symmetric():
-    adj = build_adjacency(LatticeShape((3, 2)), [1, 2])
-    nbr = adj.neighbor_lists()
-    for i, j, mult in adj.edges:
-        assert (j, mult) in nbr[i]
-        assert (i, mult) in nbr[j]
+    assert len(edges((4, 4), (TILE, TILE))) == 2 * 3 * 4
+    assert len(edges((4, 4), (WRAP, WRAP))) == 2 * 4 * 4
 
 
 def test_protrusion_slots_line():
-    shape = LatticeShape((4,))
-    assert protrusion_slots(shape, [1]) == (1, 0, 0, 1)
+    assert slots((4,), (PROTRUDE,)) == (1, 0, 0, 1)
+    assert edges((4,), (PROTRUDE,)) == ((0, 1, 1), (1, 2, 1), (2, 3, 1))
 
 
 def test_protrusion_slots_extent_one_gets_both_faces():
-    shape = LatticeShape((1, 3))
-    assert protrusion_slots(shape, [1]) == (2, 2, 2)
+    assert slots((1, 3), (PROTRUDE, TILE)) == (2, 2, 2)
+    assert section_geometry(LatticeShape((1,)), (PROTRUDE,)) == ((), (2,))
 
 
 def test_protrusion_slots_square_all_directions():
-    shape = LatticeShape((3, 3))
-    slots = protrusion_slots(shape, [1, 2])
     # corners protrude through two faces, edge midpoints through one
-    assert slots == (2, 1, 2, 1, 0, 1, 2, 1, 2)
+    assert slots((3, 3), (PROTRUDE, PROTRUDE)) == (2, 1, 2, 1, 0, 1, 2, 1, 2)
 
 
 def test_protrusion_slots_validates_direction():
-    with pytest.raises(ValueError):
-        protrusion_slots(LatticeShape((3,)), [2])
+    # a mode for a direction the shape does not have
+    with pytest.raises(ValueError, match="directions"):
+        section_geometry(LatticeShape((3,)), (TILE, PROTRUDE))
 
 
-def test_adjacency_is_frozen():
-    adj = build_adjacency(LatticeShape((2,)), ())
-    assert isinstance(adj, Adjacency)
-    with pytest.raises(AttributeError):
-        adj.n = 5
+@pytest.mark.parametrize("modes", [(), (WRAP,), (TILE, WRAP, TILE), ("periodic", TILE),
+                                   (None, TILE), "tw"],
+                         ids=["none", "short", "long", "named", "not-a-mode", "string"])
+def test_modes_are_validated(modes):
+    with pytest.raises(ValueError, match="directions"):
+        section_geometry(LatticeShape((3, 2)), modes)

@@ -4,9 +4,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from mdentropy import bounds, matchcount
+from mdentropy import bounds, matchcount, oracle
 from mdentropy.bounds import one_dim_counts
-from mdentropy.lattice import CapacityError, LatticeShape
+from mdentropy.lattice import PROTRUDE, TILE, WRAP, CapacityError, LatticeShape, section_geometry
 from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, SweepOperator, sweep_apply
 
 
@@ -27,17 +27,36 @@ def test_line_counts_match_closed_forms():
 def test_unknown_section_kinds_are_value_errors(kind):
     with pytest.raises(ValueError, match="unknown section kind"):
         matchcount.section_config(LatticeShape((3,)), kind)
+    # the oracle reads kinds through the same table
+    with pytest.raises(ValueError, match="unknown section kind"):
+        oracle.count_subset_covers((3,), kind, 1)
 
 
 def test_section_kinds_wrap_and_protrude_per_direction():
     shape = LatticeShape((3, 3))
-    wrapped = {kind: matchcount.section_config(shape, kind)[0].wrapped for kind in SectionKind}
-    assert wrapped == {SectionKind.BOX: (), SectionKind.TORUS: (1, 2),
-                       SectionKind.MIXED: (1,), SectionKind.PROTRUDING: ()}
+    for kind in SectionKind:
+        assert matchcount.section_config(shape, kind) == \
+            section_geometry(shape, matchcount.kind_modes(kind, 2))
+    # (0, 2) closes the first direction, (0, 6) the second
+    pairs = {kind: {(i, j) for i, j, _ in matchcount.section_config(shape, kind)[0]}
+             for kind in SectionKind}
+    wrapped = {kind: ((0, 2) in at, (0, 6) in at) for kind, at in pairs.items()}
+    assert wrapped == {SectionKind.BOX: (False, False), SectionKind.TORUS: (True, True),
+                       SectionKind.MIXED: (True, False), SectionKind.PROTRUDING: (False, False)}
     slots = {kind: matchcount.section_config(shape, kind)[1] for kind in SectionKind}
     assert slots[SectionKind.BOX] == slots[SectionKind.TORUS] == (0,) * 9
     assert slots[SectionKind.MIXED] == (1, 1, 1, 0, 0, 0, 1, 1, 1)
     assert slots[SectionKind.PROTRUDING] == (2, 1, 2, 1, 0, 1, 2, 1, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kind_modes_name_the_first_direction_and_the_rest(d):
+    modes = {kind: matchcount.kind_modes(kind, d) for kind in SectionKind}
+    assert modes == {SectionKind.BOX: (TILE,) * d, SectionKind.TORUS: (WRAP,) * d,
+                     SectionKind.MIXED: (WRAP,) + (PROTRUDE,) * (d - 1),
+                     SectionKind.PROTRUDING: (PROTRUDE,) * d}
+    # a 1-D mixed section has no direction left to protrude through
+    assert (modes[SectionKind.MIXED] == modes[SectionKind.TORUS]) == (d == 1)
 
 
 def test_two_point_section_counts():
@@ -173,7 +192,7 @@ def test_place_pieces_matches_a_per_mask_reference(monkeypatch, dims, kind, dime
     for batch in (None, 1, 2, 3, 4):
         for x in kernel_inputs(pieces.full + 1, batch, rng):
             rows = x.reshape(len(x), -1).tolist()
-            reference_place(rows, pieces.point_weights, pieces.adjacency.edges)
+            reference_place(rows, pieces.point_weights, pieces.edges)
             want = np.array(rows[::-1], dtype=x.dtype).reshape(x.shape)
             got = SweepOperator(pieces, x.shape, x.dtype)(x)
             if x.dtype == object:
@@ -188,7 +207,7 @@ def assert_float_placement_matches_the_reference(pieces, seed):
     for batch in (None, 3):
         x = next(kernel_inputs(pieces.full + 1, batch, rng))
         rows = x.reshape(len(x), -1).tolist()
-        reference_place(rows, pieces.point_weights, pieces.adjacency.edges)
+        reference_place(rows, pieces.point_weights, pieces.edges)
         got = SweepOperator(pieces, x.shape, x.dtype)(x)
         assert np.array_equal(got, np.array(rows[::-1]).reshape(x.shape))
 
@@ -217,7 +236,7 @@ def unscoped_sweep(pieces, x):
         if weight:
             axis = z.reshape(-1, 2, b << v)
             unscoped_add_scaled(axis[:, 1], axis[:, 0], weight)
-    for v, w, mult in pieces.adjacency.edges:
+    for v, w, mult in pieces.edges:
         pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
         unscoped_add_scaled(pair[:, 1, :, 1], pair[:, 0, :, 0], mult)
     return z[::-1]

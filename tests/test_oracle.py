@@ -8,7 +8,7 @@ import pytest
 from mdentropy import oracle
 from mdentropy.bounds import one_dim_counts
 from mdentropy.lattice import CapacityError, LatticeShape
-from mdentropy.matchcount import CoverTable, SectionKind, exact_dtype, section_config
+from mdentropy.matchcount import CoverTable, SectionKind, exact_dtype, kind_modes, section_config
 from mdentropy.oracle import (
     count_covers,
     count_subset_covers,
@@ -109,13 +109,13 @@ GEOMETRY_SHAPES = [dims for d in (1, 2, 3) for dims in product(range(1, 5), repe
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
 def test_geometry_matches_the_section_config(kind):
     # the oracle lists each edge once, at its lower end, as the bit of its
-    # higher end; as (i, j, mult) with i < j its edges are the adjacency's
+    # higher end; as (i, j, mult) with i < j its edges are the section's
     for dims in GEOMETRY_SHAPES:
-        edges, slots = oracle._geometry(dims, oracle._KIND_MODES[kind](len(dims)))
-        adjacency, want_slots = section_config(LatticeShape(dims), kind)
+        edges, slots = oracle._geometry(dims, kind_modes(kind, len(dims)))
+        want_edges, want_slots = section_config(LatticeShape(dims), kind)
         got = sorted((i, bit.bit_length() - 1, mult) for i, at in enumerate(edges)
                      for bit, mult in at)
-        assert got == list(adjacency.edges), dims
+        assert got == list(want_edges), dims
         assert tuple(slots) == want_slots, dims
 
 
@@ -206,3 +206,8 @@ def test_region_validation():
         count_subset_covers((3, 0), SectionKind.TORUS, 0)
     with pytest.raises(ValueError):
         count_subset_covers((-1,), SectionKind.BOX, 0)
+    # extents are integers: 2.5 is not truncated to 2
+    with pytest.raises(TypeError):
+        count_covers((2.5,), "tiling")
+    with pytest.raises(TypeError):
+        count_subset_covers((3, 1.5), SectionKind.BOX, 0)

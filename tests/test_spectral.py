@@ -132,6 +132,11 @@ def test_operator_sectors_bracket_a_reducible_operator():
     for bad in ([0, 0, 2], [1, 1, 1], [0, 1]):
         with pytest.raises(ValueError, match="sector labels"):
             operator_power_method(matrix.__matmul__, 3, sectors=np.array(bad, dtype=np.int8))
+    # each of these used to fail inside np.bincount, with numpy's own error
+    for bad in ([-1, 0, 1], [0., 1., 1.], ["0", "1", "1"], [[0, 1, 1]],
+                np.array([0, 1, 1], dtype=np.uint64), np.array([0, 1, 1], dtype=object)):
+        with pytest.raises(ValueError, match="sector labels"):
+            operator_power_method(matrix.__matmul__, 3, sectors=bad)
 
 
 def test_estimate_is_clamped_into_the_bracket():

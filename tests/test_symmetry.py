@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mdentropy.lattice import LatticeShape, build_adjacency
+from mdentropy.lattice import TILE, WRAP, LatticeShape, section_geometry
 from mdentropy.matchcount import CoverTable, SectionKind
 from mdentropy.symmetry import (
     apply_to_mask,
@@ -101,17 +101,25 @@ def test_apply_to_mask_preserves_popcount():
 def test_motions_preserve_torus_adjacency():
     for dims in [(4,), (2,), (3, 2), (2, 2), (3, 3), (2, 2, 2), (3, 2, 2), (2, 1, 3)]:
         shape = LatticeShape(dims)
-        adj = build_adjacency(shape, range(1, len(dims) + 1))
+        edges, _ = section_geometry(shape, (WRAP,) * len(dims))
         for g in generate_motion_group(shape):
-            assert is_adjacency_automorphism(g, adj)
+            assert is_adjacency_automorphism(g, edges)
 
 
 def test_translation_is_not_a_box_automorphism():
     # the box loses its edges at the seam, so only the torus kind may be folded
     shape = LatticeShape((3,))
-    box = build_adjacency(shape, ())
+    box, _ = section_geometry(shape, (TILE,))
     assert not is_adjacency_automorphism((1, 2, 0), box)
     assert is_adjacency_automorphism((2, 1, 0), box)
+
+
+def test_automorphisms_keep_edge_multiplicities():
+    # a doubled edge may not go to a single one
+    edges = ((0, 1, 2), (1, 2, 1))
+    assert is_adjacency_automorphism((0, 1, 2), edges)
+    assert not is_adjacency_automorphism((2, 1, 0), edges)
+    assert is_adjacency_automorphism((2, 1, 0), ((0, 1, 2), (1, 2, 2)))
 
 
 def test_box_cover_counts_not_translation_invariant():

@@ -156,7 +156,7 @@ def reference_sweep(pieces, x):
         if weight:
             axis = z.reshape(-1, 2, b << v)
             axis[:, 1] += weight * axis[:, 0]
-    for v, w, mult in pieces.adjacency.edges:
+    for v, w, mult in pieces.edges:
         pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
         pair[:, 1, :, 1] += mult * pair[:, 0, :, 0]
     return z[::-1]
