@@ -52,7 +52,7 @@ import numpy as np
 
 from .lattice import LatticeShape, check_memory
 from .matchcount import CoverTable, SectionKind, SectionPieces, SweepOperator
-from .spectral import MAX_ITER, SHIFT, TOL, SpectralBracket, operator_power_method
+from .spectral import MAX_ITER, TOL, SpectralBracket, operator_power_method
 from .symmetry import burnside_orbit_count, compute_orbits, generate_motion_group
 from .transfer import QuotientMatrix, build_quotient
 
@@ -161,7 +161,7 @@ def dimer_sectors(shape: LatticeShape) -> np.ndarray:
 
 
 def transfer_log_radius(dims, dimer_only: bool = False, tol: float = TOL,
-                        shift: float = SHIFT, max_iter: int = MAX_ITER) -> SpectralBracket:
+                        max_iter: int = MAX_ITER) -> SpectralBracket:
     """Certified bracket on the log spectral radius of a torus section.
 
     Cached on the sorted dims, as `section_quotient` is.  A zero extent
@@ -169,16 +169,15 @@ def transfer_log_radius(dims, dimer_only: bool = False, tol: float = TOL,
     extents): each remaining point contributes an independent binary
     choice, for dimer-only sections as well.
     """
-    return _log_radius(_canonical(dims), dimer_only, tol, shift, max_iter)
+    return _log_radius(_canonical(dims), dimer_only, tol, max_iter)
 
 
 @lru_cache(maxsize=None)
-def _log_radius(dims: tuple[int, ...], dimer_only: bool, tol: float, shift: float,
-                max_iter: int) -> SpectralBracket:
+def _log_radius(dims: tuple[int, ...], dimer_only: bool, tol: float, max_iter: int) -> SpectralBracket:
     if any(m == 0 for m in dims):
         points = prod(m for m in dims if m) if any(dims) else 1
         exact = points * math.log(2.0)
-        return SpectralBracket(exact, exact, exact, iterations=0, shift=shift, converged=True)
+        return SpectralBracket(exact, exact, exact, iterations=0, converged=True)
     shape = check_section(dims, dimer_only)
     pieces = SectionPieces(shape, SectionKind.TORUS, dimer_only)
     size = pieces.full + 1
@@ -188,8 +187,7 @@ def _log_radius(dims: tuple[int, ...], dimer_only: bool, tol: float, shift: floa
         sectors = dimer_sectors(shape)
         if shape.n % 2:
             apply, power = (lambda x: sweep(sweep(x))), 2
-    bracket, _ = operator_power_method(apply, size, shift=shift, tol=tol,
-                                       max_iter=max_iter, sectors=sectors)
+    bracket, _ = operator_power_method(apply, size, tol=tol, max_iter=max_iter, sectors=sectors)
 
     def safe_log(x: float) -> float:
         return math.log(x) / power if x > 0 else -math.inf

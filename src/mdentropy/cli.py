@@ -34,7 +34,7 @@ from .bounds import (
 )
 from .lattice import CapacityError, check_memory
 from .oracle import run_verification_suite
-from .spectral import MAX_ITER, SHIFT, TOL
+from .spectral import MAX_ITER, TOL
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -129,9 +129,8 @@ def _emit(args, columns, rows: list[dict], started: float, **parsed) -> None:
             writer.writerow([_cell(row[c]) for c in columns])
 
 
-def _beta_row(dims, dimer_only: bool, tol: float, shift: float, max_iters: int) -> dict:
-    bracket = transfer_log_radius(dims, dimer_only=dimer_only, tol=tol,
-                                  shift=shift, max_iter=max_iters)
+def _beta_row(dims, dimer_only: bool, tol: float, max_iters: int) -> dict:
+    bracket = transfer_log_radius(dims, dimer_only=dimer_only, tol=tol, max_iter=max_iters)
     n = prod(dims)
     orbit_count = section_orbit_count(dims) if all(m > 0 for m in dims) else 1
     return {
@@ -151,7 +150,7 @@ def cmd_beta(args) -> int:
     dims = _parse_int_list(args.dims, "--dims")
     if any(m < 0 for m in dims):
         raise UsageError(f"extents must be nonnegative, got {dims}")
-    row = _beta_row(dims, args.dimer_only, args.tol, args.shift, args.max_iters)
+    row = _beta_row(dims, args.dimer_only, args.tol, args.max_iters)
     _emit(args, BETA_COLUMNS, [row], started, dims=dims)
     return EXIT_OK if row["converged"] else EXIT_NOT_CONVERGED
 
@@ -219,7 +218,7 @@ def cmd_table(args) -> int:
     shapes = [s for s in TABLE_SHAPES[args.which] if prod(s) <= args.max_size]
     for s in shapes:
         check_section(s, dimer_only)
-    rows = [_beta_row(s, dimer_only, args.tol, args.shift, args.max_iters) for s in shapes]
+    rows = [_beta_row(s, dimer_only, args.tol, args.max_iters) for s in shapes]
     _emit(args, TABLE_COLUMNS, rows, started)
     return EXIT_OK if all(row["converged"] for row in rows) else EXIT_NOT_CONVERGED
 
@@ -238,7 +237,6 @@ def _checked(convert, accept, requirement: str):
 
 
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
-_shift = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
@@ -248,8 +246,6 @@ def _add_tol_flag(parser) -> None:
 
 
 def _add_iteration_flags(parser) -> None:
-    parser.add_argument("--shift", type=_shift, default=SHIFT,
-                        help="diagonal shift for the power method (finite, > 0)")
     parser.add_argument("--max-iters", type=_count, default=MAX_ITER,
                         dest="max_iters", help="iteration cap per bracket (>= 1); on odd"
                         " dimer-only sections one M^2 step counts once")

@@ -83,7 +83,7 @@ product over points of (weight + sum of edge multiplicities at the point)
 is below 2^63: every cover assigns each point one of those choices, so the
 product bounds every count, and the partial sums, which only grow, never
 exceed the final counts.  Otherwise it is accumulated in Python integers
-(object dtype).  Either way `counts` is a list of Python integers.
+(object dtype).  Either way `counts` is the sweep's image reversed, a read-only view.
 
 A section kind fixes which dimers are admissible by one mode per
 direction (see `lattice`): the box kind tiles every direction (tilings),
@@ -214,29 +214,29 @@ class SectionPieces:
 class CoverTable(SectionPieces):
     """Cover counts for all 2^n subsets of one section configuration.
 
-    Predicts (16 + 2 s) * 2^n bytes, s the size of an int as large as the
-    counts' bound: the sweep's buffer and the list, 8 B per mask each, their
-    ints, and in object dtype a half-size `factor * values` temporary; the
-    indicator the sweep starts from is freed before the list is made.
+    Predicts 24 B per mask: the indicator the sweep starts from and its
+    buffer, a half-size `factor * source` temporary and the views; in
+    object dtype also 2 s, s the size of an int as large as the bound.
     """
 
     def __init__(self, shape: LatticeShape, kind: SectionKind, dimer_only: bool = False):
         super().__init__(shape, kind, dimer_only)
         self.counts = self._build()
 
-    def _build(self) -> list[int]:
+    def _build(self) -> np.ndarray:
         degrees = list(self.point_weights)
         for v, w, mult in self.edges:
             degrees[v] += mult
             degrees[w] += mult
         bound = prod(degrees)
-        check_memory((16 + 2 * sys.getsizeof(bound)) << self.shape.n,
-                     f"a {self.shape.n}-point cover table")
-        e = np.zeros(self.full + 1, dtype=exact_dtype(bound))
+        dtype = exact_dtype(bound)
+        ints = 0 if dtype is np.int64 else 2 * sys.getsizeof(bound)
+        check_memory((24 + ints) << self.shape.n, f"a {self.shape.n}-point cover table")
+        e = np.zeros(self.full + 1, dtype=dtype)
         e[0] = 1
-        image = SweepOperator(self, e.shape, e.dtype)(e)
-        del e
-        return image[::-1].tolist()
+        counts = SweepOperator(self, e.shape, dtype)(e)[::-1]
+        counts.flags.writeable = False
+        return counts
 
     def _check_mask(self, mask: int) -> None:
         if not 0 <= mask <= self.full:
@@ -245,7 +245,7 @@ class CoverTable(SectionPieces):
     def count(self, mask: int) -> int:
         """Covers of the subset given by `mask`."""
         self._check_mask(mask)
-        return self.counts[mask]
+        return int(self.counts[mask])
 
     def entry(self, s: int, t: int) -> int:
         """Transfer matrix entry: covers of the complement of s | t, 0 on overlap."""
@@ -253,7 +253,7 @@ class CoverTable(SectionPieces):
         self._check_mask(t)
         if s & t:
             return 0
-        return self.counts[self.full ^ (s | t)]
+        return int(self.counts[self.full ^ (s | t)])
 
 
 class SweepOperator:

@@ -136,8 +136,8 @@ def _count(edges, slots, mask: int, monomer_ok: bool, memo: dict) -> int:
 def _checked(dims, boundary):
     """Integer extents, point count and modes; the one region limit check."""
     dims = tuple(map(operator.index, dims))
-    if any(m < 1 for m in dims):
-        raise ValueError(f"extents must be positive, got {dims}")
+    if not dims or min(dims) < 1:
+        raise ValueError(f"extents must be one or more positive integers, got {dims}")
     n = prod(dims)
     if n > MAX_ORACLE_POINTS:
         raise CapacityError(f"{n} points exceed the {MAX_ORACLE_POINTS}-point oracle limit")

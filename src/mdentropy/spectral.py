@@ -46,9 +46,9 @@ certification is up to roundoff in entries and products, not interval
 arithmetic.  All reductions use fixed-order numpy sums, so results do not
 depend on BLAS thread counts.
 
-The defaults live here: TOL, the relative width that ends a bracket, SHIFT
-and MAX_ITER, its step cap.  `bounds` and the CLI flags read them, so a
-bound and a direct `transfer_log_radius` call share their cache entries.
+SHIFT is the shift r, and TOL and MAX_ITER the default relative width
+that ends a bracket and step cap, which `bounds` and the CLI flags read,
+so a bound and a direct `transfer_log_radius` call share cache entries.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ class SpectralBracket:
     upper: float
     rayleigh: float
     iterations: int
-    shift: float
     converged: bool
 
     @property
@@ -78,8 +77,7 @@ class SpectralBracket:
         return self.upper - self.lower
 
 
-def power_method(matrix, shift: float = SHIFT, tol: float = TOL,
-                 max_iter: int = MAX_ITER, history: list | None = None):
+def power_method(matrix, tol: float = TOL, max_iter: int = MAX_ITER, history: list | None = None):
     """Bracket the spectral radius of a nonnegative matrix.
 
     `matrix` is a dense ndarray or scipy sparse matrix; `tol` is relative
@@ -103,13 +101,12 @@ def power_method(matrix, shift: float = SHIFT, tol: float = TOL,
     # labelled from a CSR copy of the nonzeros: scipy converts a dense
     # graph through float64 and index copies of twice its size
     n_comp, labels = connected_components(sparse.csr_matrix(mat), directed=False)
-    return operator_power_method(mat.__matmul__, m, shift, tol, max_iter, history,
+    return operator_power_method(mat.__matmul__, m, tol, max_iter, history,
                                  labels if n_comp > 1 else None)
 
 
-def operator_power_method(apply, size: int, shift: float = SHIFT, tol: float = TOL,
-                          max_iter: int = MAX_ITER, history: list | None = None,
-                          sectors: np.ndarray | None = None):
+def operator_power_method(apply, size: int, tol: float = TOL, max_iter: int = MAX_ITER,
+                          history: list | None = None, sectors: np.ndarray | None = None):
     """Bracket the spectral radius of a nonnegative operator.
 
     `apply` maps a float64 vector of length `size` to the operator's product
@@ -123,8 +120,6 @@ def operator_power_method(apply, size: int, shift: float = SHIFT, tol: float = T
     """
     if size < 1:
         raise ValueError("operator size must be positive")
-    if not 0 < shift < math.inf:
-        raise ValueError("shift must be positive and finite")
     # a NaN or negative tol never meets the width test and runs to max_iter
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
@@ -161,7 +156,7 @@ def operator_power_method(apply, size: int, shift: float = SHIFT, tol: float = T
     lower = upper = None
     for iterations in range(1, max_iter + 1):
         y = apply(x)
-        np.multiply(x, shift, out=scratch)
+        np.multiply(x, SHIFT, out=scratch)
         np.add(y, scratch, out=y)
         np.divide(y, x, out=scratch)
         low, high = (r.tolist() for r in per_sector(scratch, np.minimum, np.maximum))
@@ -178,8 +173,8 @@ def operator_power_method(apply, size: int, shift: float = SHIFT, tol: float = T
         top = upper.index(max(upper))
         bottom, ceiling = max(lower), upper[top]
         estimate = min(max(rayleigh[top], bottom), ceiling)
-        bracket = SpectralBracket(bottom - shift, ceiling - shift, estimate - shift, iterations,
-                                  shift, ceiling - bottom <= tol * max(1.0, abs(estimate)))
+        bracket = SpectralBracket(bottom - SHIFT, ceiling - SHIFT, estimate - SHIFT, iterations,
+                                  ceiling - bottom <= tol * max(1.0, abs(estimate)))
         if history is not None:
             history.append((iterations, bracket.lower, bracket.upper, bracket.rayleigh))
         if bracket.converged:

@@ -14,24 +14,26 @@ feeds it the basis columns e_r, weighted by orbit size, at t = q, so a
 trace sweeps ceil(q / 2) times; tr(M^0) = 2^n and tr(M) = c(full) come
 off the table, since only the empty mask is disjoint from itself.
 `quadratic_form_count`, the entry (M^e)[0, 0], feeds it the one column
-x = M e0, the cover counts reversed, at t = e - 2.  Their time is bounded
-by predicted work, not points: ceil(t / 2) sweeps over every column,
-each placing every piece on at most 2^n entries per residue, must stay
-within `SWEEP_WORK_MAX` element updates.
+x = M e0, the cover counts reversed, at t = e - 2, the one int64 copy of
+counts (it is swept in place).  Their time is bounded by predicted work,
+not points: ceil(t / 2) sweeps over every column, each placing every
+piece on at most 2^n entries per residue, must stay within
+`SWEEP_WORK_MAX` element updates.
 
-Both run on int64.  R, the sum of all counts, is row 0's sum and the
-largest row sum, so entries of M^k e_r are at most R^k, and entries of
-M^k x at most R^(k+1); every term is nonnegative, so each partial sum of
-a sweep or a dot is at most the value it adds up to.  While R^q < 2^63
-(R^e for a form) everything therefore runs in plain int64, the dot's
-products and partial sums included.  Otherwise the columns are int64
-residues modulo a few pairwise coprime moduli p from `residue_moduli`,
-with factor bound max(R, 2^31): a sweep of residues below p sums terms
-up to (p - 1) R < 2^63, each product of two residues in the dot is below
-2^62 and is reduced modulo p at once, and the 2^n reduced products sum
-below 2^(31 + n), inside int64 for n <= 32, far past the memory budget.
-The moduli are taken until their product exceeds W R^q, W the weights'
-total (1 for a form), and the count is rebuilt by Chinese remaindering.
+Both run on int64.  R, the sum of all counts (`row_sum`), is row 0's sum
+and the largest row sum, so entries of M^k e_r are at most R^k, and
+entries of M^k x at most R^(k+1); every term is nonnegative, so each
+partial sum of a sweep or a dot is at most the value it adds up to.
+While R^q < 2^63 (R^e for a form) everything therefore runs in plain
+int64, the dot's products and partial sums included.  Otherwise the
+columns are int64 residues modulo a few pairwise coprime moduli p from
+`residue_moduli`, with factor bound max(R, 2^31): a sweep of residues
+below p sums terms up to (p - 1) R < 2^63, each product of two residues
+in the dot is below 2^62 and is reduced modulo p at once, and the 2^n
+reduced products sum below 2^(31 + n), inside int64 for n <= 32, far
+past the memory budget.  The moduli are taken until their product
+exceeds W R^q, W the weights' total (1 for a form), and the count is
+rebuilt by Chinese remaindering.
 
 Folding columns over the mask orbits of a group that preserves the matrix
 gives the quotient
@@ -134,8 +136,7 @@ def _check_orbits(table: CoverTable, orbits: OrbitSpace) -> None:
     """ValueError unless the counts are constant on the orbits, so their group preserves M."""
     if orbits.n != table.shape.n:
         raise ValueError("orbit space and cover table disagree on point count")
-    counts = np.array(table.counts, dtype=exact_dtype(max(table.counts)))
-    if not np.array_equal(counts[orbits.reps][orbits.orbit_of], counts):
+    if not np.array_equal(table.counts[orbits.reps][orbits.orbit_of], table.counts):
         raise ValueError("cover counts are not constant on the orbits, "
                          "so their group does not preserve the transfer matrix")
 
@@ -149,17 +150,17 @@ def build_quotient(table: CoverTable, orbits: OrbitSpace) -> QuotientMatrix:
     computed from.  CapacityError if the counts sum to 2^63 or more.
 
     Predicts 8 * m^2 + 8 * 2^n + 64 * max(2^16, 2^n) bytes for m orbits:
-    the int64 entries, the count array and a `disjoint_pairs` block.
+    the int64 entries, `row_sum` temporaries or object counts as int64,
+    and a `disjoint_pairs` block.
     """
     n = table.shape.n
-    # an entry is at most its row sum, and row 0's, the sum of all counts,
-    # is the largest
-    if sum(table.counts) >> 63:
-        raise CapacityError("cover counts sum past int64 range")
     check_memory(8 * orbits.size ** 2 + (8 << n) + 64 * max(_PAIR_BLOCK, 1 << n),
                  f"a {orbits.size}-orbit quotient")
+    # an entry is at most its row sum, and R, row 0's, is the largest
+    if row_sum(table) >> 63:
+        raise CapacityError("cover counts sum past int64 range")
     _check_orbits(table, orbits)
-    counts = np.array(table.counts, dtype=np.int64)
+    counts = table.counts.astype(np.int64, copy=False)
     reps = np.array(orbits.reps, dtype=np.int32)
     size = orbits.size
     entries = np.zeros((size, size), dtype=np.int64)
@@ -191,6 +192,14 @@ def weighted_symmetry_ok(qm: QuotientMatrix) -> bool:
 def matvec_exact(table: CoverTable, x: list[int]) -> list[int]:
     """Exact product of the full transfer matrix with an integer vector."""
     return sweep_apply(table, np.array(x, dtype=object)).tolist()
+
+
+def row_sum(table: CoverTable) -> int:
+    """R, the sum of all counts, exact: int64 counts as their high and low 32 bits."""
+    counts = table.counts
+    if counts.dtype == object:
+        return sum(counts)  # adds machine-size ints in C, unlike an object `.sum()`
+    return (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
 
 
 def residue_moduli(bound: int, row_sum: int) -> list[int]:
@@ -230,9 +239,9 @@ def _plan(table: CoverTable, power: int, weights: list[int],
     R^power < 2^63.
     """
     n = table.shape.n
-    row_sum, total = sum(table.counts), sum(weights)
-    factor = max(row_sum, 1 << 31)
-    bits = power * row_sum.bit_length()
+    r, total = row_sum(table), sum(weights)
+    factor = max(r, 1 << 31)
+    bits = power * r.bit_length()
     k = 1 if bits <= 63 else -(-(bits + total.bit_length()) // max(62 - factor.bit_length(), 1))
     width = max(1, (_BLOCK_ENTRIES >> n) // k)
     check_memory((24 * k * min(width, len(weights))) << n,
@@ -242,7 +251,7 @@ def _plan(table: CoverTable, power: int, weights: list[int],
     if work > SWEEP_WORK_MAX:
         raise CapacityError(f"M^{t} over {n} points predicts {work:.1e} element updates; "
                             f"the limit is {SWEEP_WORK_MAX:.0e}")
-    moduli = residue_moduli(total * row_sum ** power, factor) if row_sum ** power >> 63 else []
+    moduli = residue_moduli(total * r ** power, factor) if r ** power >> 63 else []
     return width, np.array(moduli, dtype=np.int64)
 
 
@@ -314,7 +323,7 @@ def full_trace_power(table: CoverTable, q: int, orbits: OrbitSpace | None = None
     if q == 0:
         return 1 << n
     if q == 1:
-        return table.counts[table.full]
+        return table.count(table.full)
     reps = list(orbits.reps) if orbits is not None else list(range(1 << n))
     weights = list(orbits.sizes) if orbits is not None else [1] * (1 << n)
     width, moduli = _plan(table, q, weights, q)
@@ -345,8 +354,9 @@ def quadratic_form_count(table: CoverTable, exponent: int) -> int:
     if exponent < 2:
         raise ValueError("quadratic form needs at least two layers")
     _, moduli = _plan(table, exponent, [1], exponent - 2)
-    x = np.array(table.counts[::-1], dtype=np.int64).reshape(-1, 1, 1)
-    return _close(table, [(x % moduli if moduli.size else x, [1])], exponent - 2, moduli)
+    x = table.counts[::-1].astype(np.int64).reshape(-1, 1, 1)
+    x = x % moduli if moduli.size else x
+    return _close(table, [(x, [1])], exponent - 2, moduli)
 
 
 def full_matrix_sparse(table: CoverTable) -> sparse.csr_matrix:
@@ -360,13 +370,12 @@ def full_matrix_sparse(table: CoverTable) -> sparse.csr_matrix:
     n = table.shape.n
     check_memory(48 * 3**n, f"the {n}-point sparse full matrix")
     # every count c(U) is the entry (complement of U, 0)
-    if max(table.counts) >= _FLOAT_EXACT_LIMIT:
+    if table.counts.max() >= _FLOAT_EXACT_LIMIT:
         raise CapacityError("entry exceeds exact float64 range")
-    counts = np.array(table.counts, dtype=np.float64)
     rows, cols, data = [], [], []
     # every mask is a row, so a row index is its mask S
     for s, t in disjoint_pairs(np.arange(table.full + 1), n):
-        c = counts[table.full ^ (s | t)]
+        c = table.counts[table.full ^ (s | t)].astype(np.float64)
         keep = np.flatnonzero(c)
         rows.append(s[keep])
         cols.append(t[keep])

@@ -52,12 +52,8 @@ def test_zero_extent_sections_are_exact():
     assert transfer_log_radius((4, 0)).lower == 4 * math.log(2.0)
     assert transfer_log_radius((0, 4)).lower == 4 * math.log(2.0)
     assert transfer_log_radius((0, 0)).lower == math.log(2.0)
-    # the estimate is the exact value too, and the caller's shift is echoed
+    # the estimate is the exact value too
     assert bracket.rayleigh == bracket.lower == bracket.upper
-    assert bracket.shift == 1.0
-    shifted = transfer_log_radius((0,), shift=2.0)
-    assert shifted.shift == 2.0
-    assert shifted.rayleigh == shifted.lower == shifted.upper == math.log(2.0)
 
 
 @pytest.mark.parametrize("m", range(2, 17))

@@ -383,9 +383,10 @@ def test_table_dimer_only_sections(capsys, dimer_which, md_which, max_size):
     ("beta", "--dims", "4", "--max-iters", "5", "--tol", "nan"),
     ("table", "--which", "1", "--max-size", "6", "--max-iters", "5", "--tol", "inf"),
     ("bounds", "--target", "h2", "--upper", "2", "--lower", "1,1", "--tol", "nan"),
-    ("beta", "--dims", "4", "--shift", "0"),
-    ("beta", "--dims", "4", "--shift", "inf"),
-    ("table", "--which", "1", "--max-size", "6", "--shift", "-1"),
+    # text that is not a number fails the conversion itself
+    ("beta", "--dims", "4", "--tol", "wide"),
+    ("table", "--which", "1", "--max-size", "6", "--max-iters", "1.5"),
+    ("verify", "--max-points", "twenty"),
     ("beta", "--dims", "4", "--max-iters", "0"),
     ("table", "--which", "2", "--max-size", "6", "--max-iters", "-3"),
     ("verify", "--max-points", "0"),
@@ -398,22 +399,28 @@ def test_out_of_range_flags_are_argparse_errors(capsys, argv):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [("beta", "--dims", "4"), ("table", "--which", "1")])
+def test_shift_is_not_a_flag(capsys, command):
+    # the power method's shift is a constant: no value moved a printed radius
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--shift", "2"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --shift 2" in capsys.readouterr().err
+
+
 # each command's record parameters: the parsed flags, key for key and in order
 RECORD_PARAMETERS = {
     ("beta", "--dims", "4", "--format", "json"):
-        [("dims", [4]), ("dimer_only", False), ("tol", 1e-12), ("shift", 1.0),
-         ("max_iters", 1000000)],
+        [("dims", [4]), ("dimer_only", False), ("tol", 1e-12), ("max_iters", 1000000)],
     ("bounds", "--target", "h2", "--upper", "2", "--lower", "1,1", "--format", "json"):
         [("target", "h2"), ("upper", [2]), ("lower", [1, 1]), ("tol", 1e-12)],
     ("lambda", "--d", "3", "--grid", "0.1", "--format", "json"):
         [("d", 3), ("grid", 0.1)],
     ("table", "--which", "1", "--max-size", "6", "--format", "json"):
-        [("which", 1), ("max_size", 6), ("tol", 1e-12), ("shift", 1.0),
-         ("max_iters", 1000000)],
-    ("beta", "--dims", "4,3", "--dimer-only", "--tol", "1e-10", "--shift", "2",
-     "--max-iters", "50", "--format", "json"):
-        [("dims", [4, 3]), ("dimer_only", True), ("tol", 1e-10), ("shift", 2.0),
-         ("max_iters", 50)],
+        [("which", 1), ("max_size", 6), ("tol", 1e-12), ("max_iters", 1000000)],
+    ("beta", "--dims", "4,3", "--dimer-only", "--tol", "1e-10", "--max-iters", "50",
+     "--format", "json"):
+        [("dims", [4, 3]), ("dimer_only", True), ("tol", 1e-10), ("max_iters", 50)],
 }
 
 

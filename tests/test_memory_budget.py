@@ -80,6 +80,8 @@ LAYERS = {
     # an M^2 step applies one operator twice
     "dimer-5x3": lambda: (partial(bounds.transfer_log_radius, dimer_only=True), (5, 3)),
     "table-16": lambda: (table, (16,)),
+    # int64 counts are the sweep's buffer itself
+    "table-5x4": lambda: (table, (5, 4)),
     "table-protruding-4x4": lambda: (partial(table, kind=SectionKind.PROTRUDING), (4, 4)),
     "orbits-16": lambda: (compute_orbits, generate_motion_group(LatticeShape((16,))), 16),
     "full_matrix_sparse-10": lambda: (transfer.full_matrix_sparse, table((10,))),
@@ -129,7 +131,7 @@ def identity_quotient_inputs():
 REJECTED = {
     "sweep-26": lambda inputs: (bounds.transfer_log_radius, (26,)),
     "dimer-5x5": lambda inputs: (partial(bounds.transfer_log_radius, dimer_only=True), (5, 5)),
-    "table-5x5": lambda inputs: (table, (5, 5)),
+    "table-26": lambda inputs: (table, (26,)),
     "full_matrix_sparse-16": lambda inputs: (transfer.full_matrix_sparse, table((16,))),
     "identity-quotient-17": lambda inputs: (transfer.build_quotient, *inputs),
     # one orbit per mask, so Burnside's term alone is 100 * 2^25 bytes

@@ -125,7 +125,7 @@ def test_geometry_matches_the_section_config(kind):
 def test_subset_covers_match_the_tables(dims, kind, dimer_only):
     shape = LatticeShape(dims)
     table = CoverTable(shape, kind, dimer_only)
-    assert all(type(c) is int for c in table.counts)
+    assert table.counts.dtype == np.int64
     if shape.n <= 6:
         masks = range(table.full + 1)
     else:
@@ -140,13 +140,35 @@ def test_table_dtype_rule():
     assert exact_dtype(1 << 63) is object
 
 
+@pytest.mark.parametrize("dims,dtype", [
+    # a bound of 5^20 < 2^63
+    ((5, 4), np.int64),
+    # every extent-1 direction adds two protrusion slots per point
+    ((12,) + (1,) * 19, object),
+], ids=["5x4", "12-padded"])
+def test_counts_are_the_read_only_sweep_image(dims, dtype):
+    kind = SectionKind.TORUS if dtype is np.int64 else SectionKind.PROTRUDING
+    table = CoverTable(LatticeShape(dims), kind)
+    assert isinstance(table.counts, np.ndarray) and table.counts.dtype == dtype
+    assert table.counts.shape == (table.full + 1,)
+    with pytest.raises(ValueError, match="read-only"):
+        table.counts[0] = 2
+    assert table.count(0) == 1
+    for mask in (table.full, table.full >> 1, 0b1011):
+        count = table.count(mask)
+        entry = table.entry(table.full ^ mask, 0)
+        assert type(count) is type(entry) is int
+        assert count == entry == count_subset_covers(dims, kind, mask)
+
+
 def test_object_table_matches_enumeration():
     # every extent-1 direction gives each point two protrusion slots, so
     # the full count passes 2^63 and the table is built in Python integers
     dims = (12,) + (1,) * 19
     table = CoverTable(LatticeShape(dims), SectionKind.PROTRUDING)
     assert table.count(table.full) >= 1 << 63
-    assert all(type(c) is int for c in table.counts)
+    assert table.counts.dtype == object
+    assert all(type(c) is int for c in table.counts.tolist())
     rng = random.Random(5)
     masks = {0, table.full} | {rng.randrange(table.full + 1) for _ in range(60)}
     for mask in sorted(masks):
@@ -211,3 +233,14 @@ def test_region_validation():
         count_covers((2.5,), "tiling")
     with pytest.raises(TypeError):
         count_subset_covers((3, 1.5), SectionKind.BOX, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_covers((), "tiling"),
+    lambda: enumerate_covers((), "periodic"),
+    lambda: count_subset_covers((), SectionKind.BOX, 1),
+], ids=["count_covers", "enumerate_covers", "count_subset_covers"])
+def test_a_region_without_extents_is_refused(call):
+    # it used to count as one point: 1, {0: 1} and 1
+    with pytest.raises(ValueError, match="one or more"):
+        call()

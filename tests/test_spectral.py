@@ -43,13 +43,6 @@ def test_path_graph_radius():
     assert bracket.width <= 1e-11
 
 
-@pytest.mark.parametrize("shift", [0.5, 1.0, 2.0])
-def test_shift_does_not_move_the_radius(shift):
-    bracket, _ = power_method(PATH_GRAPH, shift=shift)
-    assert bracket.shift == shift
-    assert abs(bracket.rayleigh - math.sqrt(2.0)) <= 1e-11
-
-
 def test_rayleigh_matches_dense_eigensolver():
     rng = np.random.default_rng(41)
     raw = rng.random((8, 8))
@@ -184,13 +177,9 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         power_method(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        power_method(np.ones((2, 2)), shift=0.0)
-    with pytest.raises(ValueError):
         power_method(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(ValueError):
         operator_power_method(PATH_GRAPH.__matmul__, 0)
-    with pytest.raises(ValueError):
-        operator_power_method(PATH_GRAPH.__matmul__, 3, shift=-1.0)
     with pytest.raises(ValueError):
         power_method(np.ones((2, 2)), max_iter=0)
     with pytest.raises(ValueError):
@@ -202,11 +191,6 @@ def test_validation_errors():
             power_method(np.ones((2, 2)), tol=tol, max_iter=5)
         with pytest.raises(ValueError):
             operator_power_method(PATH_GRAPH.__matmul__, 3, tol=tol, max_iter=5)
-    for shift in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            power_method(np.ones((2, 2)), shift=shift, max_iter=5)
-        with pytest.raises(ValueError):
-            operator_power_method(PATH_GRAPH.__matmul__, 3, shift=shift, max_iter=5)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from itertools import combinations
 from math import gcd, prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mdentropy.transfer import (
     matvec_exact,
     quadratic_form_count,
     residue_moduli,
+    row_sum,
     sweep_apply,
     weighted_symmetry_ok,
 )
@@ -319,7 +321,7 @@ def two_layer_trace(table):
     complement between S and T.
     """
     n = table.shape.n
-    return sum(c * c << n - bin(u).count("1") for u, c in enumerate(table.counts))
+    return sum(c * c << n - bin(u).count("1") for u, c in enumerate(table.counts.tolist()))
 
 
 @pytest.mark.parametrize("dims,kind,dimer_only", [
@@ -342,7 +344,7 @@ def test_trace_on_both_sides_of_the_int64_bound(q):
     # q = 16 runs in int64; q = 40 runs on int64 residues and its trace
     # itself passes 2^63
     table = torus_table((3,))
-    assert (sum(table.counts) ** q >= 1 << 63) == (q == 40)
+    assert (row_sum(table) ** q >= 1 << 63) == (q == 40)
     want = 0
     for rep in range(table.full + 1):
         x = [0] * (table.full + 1)
@@ -355,7 +357,7 @@ def test_trace_on_both_sides_of_the_int64_bound(q):
 
 
 def _form_by_matvec(table, layers):
-    x = table.counts[::-1]
+    x = table.counts[::-1].tolist()
     v = x
     for _ in range(layers - 2):
         v = matvec_exact(table, v)
@@ -370,8 +372,8 @@ def test_multi_modulus_forms_match_the_object_reference(dims, layers, want):
     # x^T M^(e-2) x on Python integers against the form on five residues,
     # each below 2^31 so that the closing dot's products fit int64
     table = CoverTable(LatticeShape(dims), SectionKind.PROTRUDING)
-    row_sum = sum(table.counts)
-    assert len(residue_moduli(row_sum ** layers, max(row_sum, 1 << 31))) == 5
+    r = row_sum(table)
+    assert len(residue_moduli(r ** layers, max(r, 1 << 31))) == 5
     assert quadratic_form_count(table, layers) == _form_by_matvec(table, layers) == want
 
 
@@ -392,10 +394,10 @@ def test_short_forms_match_the_object_reference(kind, dimer_only, layers):
     # e = 2 is the dot x.x with no sweep, e = 3 is x.Mx and e = 4 is Mx.Mx,
     # one sweep each; (3, 2) runs in plain int64
     small = CoverTable(LatticeShape((3, 2)), kind, dimer_only)
-    assert sum(small.counts) ** layers < 1 << 63
+    assert row_sum(small) ** layers < 1 << 63
     assert quadratic_form_count(small, layers) == _form_by_matvec(small, layers)
     large = CoverTable(LatticeShape((2, 2, 2, 2)), kind, dimer_only)
-    residues = sum(large.counts) ** layers >= 1 << 63
+    residues = row_sum(large) ** layers >= 1 << 63
     assert residues == (layers >= FIRST_RESIDUE_LAYERS[kind, dimer_only])
     assert quadratic_form_count(large, layers) == _form_by_matvec(large, layers)
 
@@ -408,9 +410,9 @@ def test_short_forms_match_the_object_reference(kind, dimer_only, layers):
 ])
 def test_dimer_only_box_forms(dims, layers, want, moduli):
     table = CoverTable(LatticeShape(dims), SectionKind.BOX, dimer_only=True)
-    row_sum = sum(table.counts)
-    bound = row_sum ** layers
-    assert len(residue_moduli(bound, max(row_sum, 1 << 31)) if bound >> 63 else []) == moduli
+    r = row_sum(table)
+    bound = r ** layers
+    assert len(residue_moduli(bound, max(r, 1 << 31)) if bound >> 63 else []) == moduli
     assert quadratic_form_count(table, layers) == _form_by_matvec(table, layers) == want
 
 
@@ -426,8 +428,8 @@ def test_forms_sweep_the_boundary_vector_half_the_layers(monkeypatch, dims, kind
     # p = 7; the padded protruding section, R > 2^32, runs on residues from
     # p = 2
     table = CoverTable(LatticeShape(dims), kind)
-    n, row_sum = table.shape.n, sum(table.counts)
-    assert (row_sum ** 2 >= 1 << 63) == (row_sum ** 7 >= 1 << 63) == residues
+    n, r = table.shape.n, row_sum(table)
+    assert (r ** 2 >= 1 << 63) == (r ** 7 >= 1 << 63) == residues
     traces = [full_trace_power(table, q) for q in range(8)]
     assert traces[:3] == [1 << n, table.count(table.full), two_layer_trace(table)]
     calls = []
@@ -452,9 +454,9 @@ def test_multi_modulus_orbit_weighted_trace_matches_the_object_reference():
     shape = LatticeShape((3, 2))
     table = CoverTable(shape, SectionKind.TORUS)
     orbits = compute_orbits(generate_motion_group(shape), shape.n)
-    q, row_sum = 10, sum(table.counts)
-    assert row_sum ** q >= 1 << 63
-    assert len(residue_moduli((table.full + 1) * row_sum ** q, row_sum)) >= 2
+    q, r = 10, row_sum(table)
+    assert r ** q >= 1 << 63
+    assert len(residue_moduli((table.full + 1) * r ** q, r)) >= 2
     want = 0
     for rep in range(table.full + 1):
         x = [0] * (table.full + 1)
@@ -483,6 +485,37 @@ def test_residue_moduli_refuse_rows_too_large_for_int64():
     assert prod(residue_moduli(1 << 63, 1 << 55)) > 1 << 63
     with pytest.raises(CapacityError):
         residue_moduli(1 << 10_000, 1 << 55)
+
+
+def test_row_sum_is_exact_in_either_dtype():
+    int64 = torus_table((5, 4))
+    padded = CoverTable(LatticeShape((12,) + (1,) * 19), SectionKind.PROTRUDING)
+    assert (int64.counts.dtype, padded.counts.dtype) == (np.int64, object)
+    for table in (int64, padded):
+        r = row_sum(table)
+        assert type(r) is int and r == sum(table.counts.tolist())
+    assert row_sum(padded) >> 63
+    # 2^10 int64 counts near 2^62 sum past 2^63, where an int64 sum wraps
+    counts = np.full(1 << 10, (1 << 62) + 12345, dtype=np.int64)
+    assert row_sum(SimpleNamespace(counts=counts)) == ((1 << 62) + 12345) << 10
+
+
+def test_three_row_domino_tilings_past_the_enumeration_limit():
+    # the box dimer-only (m,) form at e = 3 counts the domino tilings of
+    # 3 x m: a(k) = 4 a(k - 1) - a(k - 2), a(0) = 1, a(1) = 3 for m = 2k,
+    # and none for odd m
+    tilings = [1, 3]
+    while len(tilings) <= 11:
+        tilings.append(4 * tilings[-1] - tilings[-2])
+    for m in range(2, 23):
+        table = CoverTable(LatticeShape((m,)), SectionKind.BOX, dimer_only=True)
+        assert quadratic_form_count(table, 3) == (0 if m % 2 else tilings[m // 2]), m
+
+
+def test_first_powers_come_off_the_table_as_ints():
+    table = torus_table((5, 4))
+    assert [type(full_trace_power(table, q)) for q in (0, 1)] == [int, int]
+    assert full_trace_power(table, 1) == table.count(table.full)
 
 
 def test_zeroth_power_trace_counts_states():
