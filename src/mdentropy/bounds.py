@@ -92,13 +92,18 @@ def check_section(dims, dimer_only: bool = False) -> LatticeShape:
 
     Returns the section's shape, checked first against the 64-point mask
     limit.  A monomer-dimer bracket is predicted at 30 B per mask plus 1
-    MiB: three float64 vectors of 2^n (iterate, scratch, and the sweep
-    operator's buffer, which holds the image) and the half-size products
-    of doubled edges.  A dimer-only one, at 60 B per mask plus 1 MiB, adds
-    a gather buffer, the int64 sort order, and int8 labels and their intp
-    copy in each spread of the sector norms.  An odd section's M^2 step
-    applies its one operator twice and holds no second one.  Traced peaks
-    per mask: 24-27 B, 49-50 B dimer-only of either parity.
+    MiB: three float64 vectors of 2^n (the iterate, the sweep operator's
+    buffer, which holds the image, and the buffer's transposed copy,
+    which operators of 13 to 17 points hold) and the half-size products
+    of doubled edges.  The step's scratch is one block of 2^14 entries;
+    up to 14 points it is the whole vector, and the 1 MiB holds it.  A
+    dimer-only one, at 60 B per mask plus 1 MiB, adds a whole-vector
+    scratch, a gather buffer, the int64 sort order and the int8 labels,
+    which are spread in small chunks.  An odd section's M^2 step applies
+    its one operator twice and holds no second one.  Traced peaks per
+    mask: 25.2-28.6 B at 16 and 17 points, 33.7 B at 14, 16.4-16.7 B
+    from 18 points on; dimer-only 50.1-50.5 B at 15 to 17 points, 42.0 B
+    at 18 and 49.0 B at 19.
     """
     shape = _section_shape(_canonical(dims))
     check_memory(((60 if dimer_only else 30) << shape.n) + (1 << 20),

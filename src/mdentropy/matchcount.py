@@ -30,9 +30,9 @@ reads its counts off the image of the indicator e0 of the empty mask,
 reversed.
 
 `piece_views` builds the (target, source, factor) views of every piece on
-the operator's buffer, the target viewing the masks without the piece and
-the source the same masks with it, and `run_updates` adds factor * source
-into target for each, in order.  An operator makes its buffer and views
+one of the operator's buffers, the target viewing the masks without the
+piece and the source the same masks with it, and `run_updates` adds
+factor * source into target for each, in order.  An operator makes its buffer and views
 once, for brackets and traces that apply M many times; `sweep_apply` is a
 one-shot call.  The dtype of x decides the arithmetic: float64 for
 spectral brackets, int64 for exact traces, boundary quadratic forms and
@@ -78,6 +78,50 @@ elements stays whole: there the per-column call costs more than the rows
 it saves (a 6-point float64 sweep took 79 us by columns against 58 us
 whole), and from about 11 points up the columns win.
 
+Two layouts.  The update of a piece whose lower end is v has runs of B
+<< v elements, so the low bits are the slow ones: at (17,), each update
+timed alone, the pieces whose lower end is bit 0-7 took about 0.98 ms of a
+1.27 ms sweep.  An operator whose buffer holds 64 KiB to 1 MiB in rows
+(one mask's batch) of at most 256 B (`_SPLIT_BYTES`, `_SPLIT_ROW_BYTES`;
+13 to 17 points for one vector of 8-byte entries, fewer with a short
+batch) therefore places the low group, the pieces whose lower end is
+below k = n // 2 (`split_bit`), on a second buffer holding the masks as
+(2^k, 2^(n-k)[, B]): mask bit v < k sits at bit v + n - k of its index
+there and bit v >= k at v - k, so a point piece of the low group has
+runs of B << (v + n - k), and an edge (v, w) with w >= k runs of B << (w
+- k).  A call copies x into that buffer reversed and transposed, places
+the low group, copies the array back transposed into the natural buffer
+and places the remaining pieces there.  Any other operator has an empty
+low group, no second buffer and no copy back: it copies x reversed into
+its buffer and places every piece there.  The canonical piece order is
+the low group first, then the rest, each in piece order (points by bit,
+then edges as listed).  Integer dtypes give the same values in any
+order; a float64 sweep of 13-17 points moves by at most a few ulps
+against the one-layout order (relative differences up to 5.8e-16), and
+every CLI output compared with the one-layout sweep (`table --which 1|3
+--max-size 17`, `--which 2 --max-size 15`, `--which 4 --max-size 16`,
+three `bounds` and seven `beta` sections of 15-19 points) was
+byte-identical.
+
+The rule is measured on a two-core VM with 2 MiB of L2 per core, as the
+median of eleven interleaved rounds, in ms.  One float64 sweep, one
+layout -> two: (13,) 0.135 -> 0.106, (16,) 0.71 -> 0.50, (17,) 1.52 ->
+1.14, (4, 4) 1.23 -> 0.71, (8, 2) 1.11 -> 0.90, (5, 3) 0.63 -> 0.45.
+int64 batches of 512 KiB, repeated calls: rows of 4 to 32 entries gained
+18-40% ((14,) with four columns 0.78 -> 0.47), rows of 64 entries 11%
+((10,) 0.26 -> 0.23), and rows of 78 and 128 lost 8%; an operator used
+once, as an exact trace uses one per block, also pays for the fresh
+second buffer, and the 78-column trace of the (10,) orbits took 1.50 ->
+1.83 ms, hence the row limit.  At 2 MiB, where the two buffers no longer
+fit that cache together and each transposed copy takes about 1 ms, the
+split is a wash or a loss: (18,) 3.8-4.0 -> 4.0-4.4, (9, 2) 6.6 -> 7.2,
+(6, 3) even, (3, 3, 2) 7.8 -> 6.0, and a batch of 512 columns over 9
+points 1.37 -> 1.71; past it the split loses, (19,) 12.0 -> 15.1, (20,)
+22.8 -> 30.9, (5, 4) 34 -> 40.  Below 64 KiB a float64 sweep called
+repeatedly gained too, 10-18% at 10-12 points; whether the brackets and
+one-shot tables of that size gain as a whole is not measured, so the rule
+starts at 13 points.
+
 Counts are exact.  The table is accumulated in int64 only when the
 product over points of (weight + sum of edge multiplicities at the point)
 is below 2^63: every cover assigns each point one of those choices, so the
@@ -111,6 +155,11 @@ _COLUMN_RUN = 4
 _COLUMN_MIN_SIZE = 1 << 10
 # numpy's ufunc buffer size, in elements, while pieces are placed
 _UPDATE_BUFSIZE = 512
+# an operator places the pieces whose lower end is below n // 2 on a
+# transposed copy when its buffer holds _SPLIT_BYTES, both ends included,
+# in rows (one mask's batch) of at most _SPLIT_ROW_BYTES; see the module notes
+_SPLIT_BYTES = (1 << 16, 1 << 20)
+_SPLIT_ROW_BYTES = 256
 
 
 class SectionKind(enum.Enum):
@@ -147,25 +196,35 @@ def exact_dtype(bound: int):
     return np.int64 if bound < _INT64_LIMIT else object
 
 
-def piece_views(z: np.ndarray, point_weights, edges) -> list[tuple[np.ndarray, np.ndarray, int]]:
+def split_bit(shape: tuple[int, ...], itemsize: int) -> int:
+    """Bit k below which a sweep over arrays of `shape` with `itemsize`-byte entries
+    places pieces on its transposed copy; 0 if it places every piece in one layout."""
+    row = itemsize * prod(shape[1:])
+    n = shape[0].bit_length() - 1
+    split = _SPLIT_BYTES[0] <= row << n <= _SPLIT_BYTES[1] and row <= _SPLIT_ROW_BYTES
+    return n // 2 if split else 0
+
+
+def piece_views(z: np.ndarray, pieces) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """(target, source, factor) views of z for every piece, in piece order.
 
     `z` has a leading axis of 2^n masks and an optional trailing batch
-    axis.  `target` views the entries whose masks miss the piece and
-    `source` the same masks with the piece added; `point_weights[v]`
-    weighs the piece covering v alone and `edges` holds (v, w,
-    multiplicity) with v < w.  A large update with a short contiguous run
-    is split into one view pair per column; see the module notes.
+    axis.  `pieces` holds (p, q, factor), p <= q the bits of z's mask
+    index that the piece covers: one point covered alone when p == q,
+    else an edge.  `target` views the entries whose masks miss the piece
+    and `source` the same masks with it added.  A large update with a
+    short contiguous run is split into one view pair per column; see the
+    module notes.
     """
     b = z.size // z.shape[0]
     views = []
-    for v, weight in enumerate(point_weights):
-        if weight:
-            axis = z.reshape(-1, 2, b << v)
-            views += _by_columns(axis[:, 0], axis[:, 1], weight)
-    for v, w, mult in edges:
-        pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
-        views += _by_columns(pair[:, 0, :, 0], pair[:, 1, :, 1], mult)
+    for p, q, factor in pieces:
+        if p == q:
+            axis = z.reshape(-1, 2, b << p)
+            views += _by_columns(axis[:, 0], axis[:, 1], factor)
+        else:
+            pair = z.reshape(-1, 2, 1 << (q - p - 1), 2, b << p)
+            views += _by_columns(pair[:, 0, :, 0], pair[:, 1, :, 1], factor)
     return views
 
 
@@ -194,8 +253,9 @@ class SectionPieces:
     """The pieces from which covers of one section configuration are built.
 
     `point_weights[v]` counts the ways to cover v alone, `edges` holds
-    the edge pieces (v, w, multiplicity); that is all the sweep
-    reads, so no cover count is computed here.
+    the edge pieces (v, w, multiplicity), and `pieces` both in piece
+    order, as (v, w, factor) with w = v for a point covered alone; that
+    is all the sweep reads, so no cover count is computed here.
     """
 
     def __init__(self, shape: LatticeShape, kind: SectionKind, dimer_only: bool = False):
@@ -208,15 +268,21 @@ class SectionPieces:
         self.point_weights = tuple(
             (0 if self.dimer_only else 1) + s for s in self.slots
         )
+        self.pieces = tuple((v, v, weight) for v, weight in enumerate(self.point_weights)
+                            if weight) + tuple(self.edges)
         self.full = (1 << shape.n) - 1
 
 
 class CoverTable(SectionPieces):
     """Cover counts for all 2^n subsets of one section configuration.
 
-    Predicts 24 B per mask: the indicator the sweep starts from and its
-    buffer, a half-size `factor * source` temporary and the views; in
-    object dtype also 2 s, s the size of an int as large as the bound.
+    Predicts 24 B per mask: the sweep's buffer, which holds the indicator
+    it starts from, and the buffer's transposed copy or, for an operator
+    that does not split, numpy's copy of the overlapping input; a
+    half-size `factor * source` temporary and the views; in object dtype
+    also 2 s, s the size of an int as large as the bound.  Traced peaks:
+    16.0-16.4 B per mask on unit-factor tables, 20.3-21.3 B with weighted
+    pieces (protruding (4, 4) and (7, 2)).
     """
 
     def __init__(self, shape: LatticeShape, kind: SectionKind, dimer_only: bool = False):
@@ -232,9 +298,10 @@ class CoverTable(SectionPieces):
         dtype = exact_dtype(bound)
         ints = 0 if dtype is np.int64 else 2 * sys.getsizeof(bound)
         check_memory((24 + ints) << self.shape.n, f"a {self.shape.n}-point cover table")
-        e = np.zeros(self.full + 1, dtype=dtype)
-        e[0] = 1
-        counts = SweepOperator(self, e.shape, dtype)(e)[::-1]
+        sweep = SweepOperator(self, (self.full + 1,), dtype)
+        sweep.buffer.fill(0)
+        sweep.buffer[0] = 1
+        counts = sweep(sweep.buffer)[::-1]
         counts.flags.writeable = False
         return counts
 
@@ -264,7 +331,9 @@ class SweepOperator:
     valid until the next call.  x may be that buffer itself, so
     `op(op(x))` is M^2 x: `np.copyto` copies a source that overlaps its
     destination before writing.  Only the pieces of `pieces` are read, so
-    a `SectionPieces` serves as well as a `CoverTable`.
+    a `SectionPieces` serves as well as a `CoverTable`.  An operator of
+    `split_bit` k > 0 holds a second, transposed buffer for the pieces
+    whose lower end is below k.
     """
 
     def __init__(self, pieces: SectionPieces, shape: tuple[int, ...], dtype):
@@ -272,13 +341,32 @@ class SweepOperator:
         if len(self.shape) not in (1, 2) or self.shape[0] != pieces.full + 1:
             raise ValueError(f"array of shape {self.shape} does not match {pieces.full + 1} masks")
         self.buffer = np.empty(self.shape, dtype=dtype)
-        self._updates = piece_views(self.buffer, pieces.point_weights, pieces.edges)
+        n = pieces.full.bit_length()
+        k = split_bit(self.shape, self.buffer.itemsize)
+        self._low, rest = [], pieces.pieces
+        if k:
+            def at(v):  # the bit of a mask index at which mask bit v sits when transposed
+                return v + n - k if v < k else v - k
+
+            low = [(min(at(v), at(w)), max(at(v), at(w)), factor)
+                   for v, w, factor in rest if v < k]
+            rest = [piece for piece in rest if piece[0] >= k]
+            # masks as (high bits, low bits[, batch]) in the buffer, (low, high[, batch]) here
+            self._blocks = (1 << n - k, 1 << k) + self.shape[1:]
+            self._transposed = np.empty((1 << k, 1 << n - k) + self.shape[1:], dtype=dtype)
+            self._low = piece_views(self._transposed.reshape(self.shape), low)
+        self._rest = piece_views(self.buffer, rest)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if x.shape != self.shape:
             raise ValueError(f"array of shape {x.shape} does not match the operator's {self.shape}")
-        np.copyto(self.buffer, x[::-1])
-        run_updates(self._updates)
+        if self._low:
+            np.copyto(self._transposed, x[::-1].reshape(self._blocks).swapaxes(0, 1))
+            run_updates(self._low)
+            np.copyto(self.buffer.reshape(self._blocks), self._transposed.swapaxes(0, 1))
+        else:
+            np.copyto(self.buffer, x[::-1])
+        run_updates(self._rest)
         return self.buffer
 
 

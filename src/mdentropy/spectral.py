@@ -29,17 +29,29 @@ reduced per block, so `iterations` counts joint steps; the vector
 returned is zero outside the block of the largest upper end.
 
 A step allocates nothing of the operator's size itself: it works through
-numpy `out=` arguments in three vectors, the iterate x and one scratch
-vector for the shift term, the ratios y / x and the inner-product terms,
-both preallocated, and the image y, which is the array `apply` returns.
-The step adds the shift into y in place, so `apply` may return its own
-buffer (the site sweep does) or a fresh product (a matrix does), as long
-as it is not x; the next call may overwrite it.  Sectors add one buffer,
-into which `take` gathers each sector's entries, in stable-sort order,
-for `reduceat`.  Non-finite values are caught on the ratio extremes
-instead of a pass over y: x stays positive, so an inf or NaN anywhere in
-y reaches the minimum or the maximum of y / x, and the step raises
-ArithmeticError.
+numpy `out=` arguments on the iterate x, preallocated, the image y, which
+is the array `apply` returns, and one preallocated scratch block for the
+shift term, the ratios y / x and the inner-product terms.  The step adds
+the shift into y in place, so `apply` may return its own buffer (the
+site sweep does) or a fresh product (a matrix does), as long as it is
+not x; the next call may overwrite it.  A vector of 2^m > `_BLOCK` =
+2^14 entries without sectors is stepped block by block: each block gets
+its shift, its ratio extremes and its sums of x y, x x and y y while it
+is in cache, and then y is divided by its norm into x.  The block sums
+are added by halving, s = s[0::2] + s[1::2]: numpy's pairwise sum splits
+a power-of-two run of 128 or more entries into halves, so this is its
+sum of the whole vector bit for bit, and so are the brackets.  The
+scratch block takes 128 KiB where a whole scratch vector took 8 B per
+mask, which pays for the sweep's transposed copy (see `matchcount`): a
+monomer-dimer bracket holds three vectors of its size, x and the sweep's
+two layouts.  Sectored operators and vectors of other sizes run as one
+block, reduced as a whole.  Sectors add one buffer, into which `take`
+gathers each sector's entries, in stable-sort order, for `reduceat`, and
+spread the sector norms over the labels in chunks of `_SPREAD_CHUNK` =
+2^12 entries, so numpy's intp copy of the int8 labels stays small.
+Non-finite values are caught on the ratio extremes instead of a pass
+over y: x stays positive, so an inf or NaN anywhere in y reaches the
+minimum or the maximum of y / x, and the step raises ArithmeticError.
 
 Brackets are computed in float64 from exact integer entries;
 certification is up to roundoff in entries and products, not interval
@@ -59,6 +71,9 @@ from dataclasses import dataclass
 import numpy as np
 
 TOL, SHIFT, MAX_ITER = 1e-12, 1.0, 1_000_000
+# entries per block of a step, and per chunk of a sector-norm spread
+_BLOCK = 1 << 14
+_SPREAD_CHUNK = 1 << 12
 
 
 @dataclass
@@ -75,6 +90,16 @@ class SpectralBracket:
     @property
     def width(self) -> float:
         return self.upper - self.lower
+
+
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """The per-block rows of a step as one: minima, maxima, then sums added by halving."""
+    if len(terms) == 1:
+        return terms[0]
+    sums = terms[:, 2:]
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return np.concatenate([terms[:, :1].min(axis=0), terms[:, 1:2].max(axis=0), sums[0]])
 
 
 def power_method(matrix, tol: float = TOL, max_iter: int = MAX_ITER, history: list | None = None):
@@ -125,9 +150,13 @@ def operator_power_method(apply, size: int, tol: float = TOL, max_iter: int = MA
         raise ValueError("tol must be nonnegative")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    # `gather` lays values out for `reduce`, which reduces them per sector into out
     if sectors is None:
-        def per_sector(values, *ufuncs):
-            return [ufunc.reduce(values, keepdims=True) for ufunc in ufuncs]
+        def gather(values):
+            return values
+
+        def reduce(ufunc, values, out):
+            ufunc.reduce(values, out=out, keepdims=True)
     else:
         sectors = np.asarray(sectors)
         # kind, shape and sign first: bincount raises its own errors on them
@@ -138,32 +167,50 @@ def operator_power_method(apply, size: int, tol: float = TOL, max_iter: int = MA
         starts = np.cumsum(counts) - counts
         gathered = np.empty(size)
 
-        def per_sector(values, *ufuncs):
-            np.take(values, order, out=gathered, mode="clip")
-            return [ufunc.reduceat(gathered, starts) for ufunc in ufuncs]
+        def gather(values):
+            return np.take(values, order, out=gathered, mode="clip")
+
+        def reduce(ufunc, values, out):
+            ufunc.reduceat(values, starts, out=out)
     x = np.ones(size)
-    scratch = np.empty(size)
+    # a power-of-two vector without sectors steps in blocks, whose sums add
+    # up by halving as numpy's pairwise sum does; see the module notes
+    block = _BLOCK if sectors is None and size > _BLOCK and not size & size - 1 else size
+    scratch = np.empty(block)
+    # per block, per sector: ratio minima and maxima, then sums of x y, x x and y y
+    terms = np.empty((size // block, 5, 1 if sectors is None else len(starts)))
+    blocks = [(slice(start, start + block), x[start:start + block], *row)
+              for start, row in zip(range(0, size, block), terms)]
 
-    def inner(a, b):
-        np.multiply(a, b, out=scratch)
-        return per_sector(scratch, np.add)[0]
-
-    def normalize(v):
-        norms = np.sqrt(inner(v, v))
-        spread = norms if sectors is None else np.take(norms, sectors, out=gathered, mode="clip")
-        np.divide(v, spread, out=x)
+    def normalize(v, squares):
+        norms = np.sqrt(squares)
+        if sectors is not None:
+            # labels spread in chunks, so numpy's intp copy of them stays small
+            for start in range(0, size, _SPREAD_CHUNK):
+                part = slice(start, start + _SPREAD_CHUNK)
+                np.take(norms, sectors[part], out=gathered[part], mode="clip")
+            norms = gathered
+        np.divide(v, norms, out=x)
 
     lower = upper = None
     for iterations in range(1, max_iter + 1):
         y = apply(x)
-        np.multiply(x, SHIFT, out=scratch)
-        np.add(y, scratch, out=y)
-        np.divide(y, x, out=scratch)
-        low, high = (r.tolist() for r in per_sector(scratch, np.minimum, np.maximum))
+        for part, xb, least, most, xy, xx, yy in blocks:
+            yb = y[part]
+            np.multiply(xb, SHIFT, out=scratch)
+            np.add(yb, scratch, out=yb)
+            np.divide(yb, xb, out=scratch)
+            ratios = gather(scratch)
+            reduce(np.minimum, ratios, least)
+            reduce(np.maximum, ratios, most)
+            for out, a, b in ((xy, xb, yb), (xx, xb, xb), (yy, yb, yb)):
+                np.multiply(a, b, out=scratch)
+                reduce(np.add, gather(scratch), out)
+        low, high, xy, xx, yy = _fold(terms).tolist()
         # x > 0, so an inf or NaN anywhere in y reaches a ratio extreme
         if not all(map(math.isfinite, low + high)):
             raise ArithmeticError("power iteration produced non-finite values")
-        rayleigh = (inner(x, y) / inner(x, x)).tolist()
+        rayleigh = [a / b for a, b in zip(xy, xx)]
         for lo, r, hi in zip(low, rayleigh, high):
             slack = 1e-11 * max(1.0, abs(r))
             if not (lo - slack <= r <= hi + slack):
@@ -178,9 +225,9 @@ def operator_power_method(apply, size: int, tol: float = TOL, max_iter: int = MA
         if history is not None:
             history.append((iterations, bracket.lower, bracket.upper, bracket.rayleigh))
         if bracket.converged:
+            normalize(x, xx)
             break
-        normalize(y)
-    normalize(x)
+        normalize(y, yy)
     if sectors is not None:
         x[sectors != top] = 0.0
     return bracket, x

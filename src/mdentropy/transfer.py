@@ -70,7 +70,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .lattice import CapacityError, check_memory
-from .matchcount import CoverTable, SweepOperator, exact_dtype, sweep_apply
+from .matchcount import CoverTable, SweepOperator, exact_dtype, split_bit, sweep_apply
 from .symmetry import OrbitSpace
 
 if TYPE_CHECKING:
@@ -233,7 +233,8 @@ def _plan(table: CoverTable, power: int, weights: list[int],
     checks run before W R^power is formed.  24 B per entry of a block of
     at most max(2^20, k * 2^n) entries must fit the budget: the block, the
     operator's buffer, which takes the dot's products, and piece-update
-    temporaries.  The work of closing one column per weight at `t`,
+    temporaries; 8 B more per entry if the operator holds a transposed
+    copy (`split_bit`).  The work of closing one column per weight at `t`,
     ceil(t / 2) sweeps of k residues, each placing P pieces on at most
     2^n entries, must stay within `SWEEP_WORK_MAX`.  No moduli while
     R^power < 2^63.
@@ -244,10 +245,10 @@ def _plan(table: CoverTable, power: int, weights: list[int],
     bits = power * r.bit_length()
     k = 1 if bits <= 63 else -(-(bits + total.bit_length()) // max(62 - factor.bit_length(), 1))
     width = max(1, (_BLOCK_ENTRIES >> n) // k)
-    check_memory((24 * k * min(width, len(weights))) << n,
-                 f"M^{power} over {n} points on {k} int64 residues")
-    pieces = sum(map(bool, table.point_weights)) + len(table.edges)
-    work = -(-t // 2) * k * len(weights) * pieces << n
+    columns = k * min(width, len(weights))
+    transposed = 8 * columns << n if split_bit((1 << n, columns), 8) else 0
+    check_memory((24 * columns << n) + transposed, f"M^{power} over {n} points on {k} int64 residues")
+    work = -(-t // 2) * k * len(weights) * len(table.pieces) << n
     if work > SWEEP_WORK_MAX:
         raise CapacityError(f"M^{t} over {n} points predicts {work:.1e} element updates; "
                             f"the limit is {SWEEP_WORK_MAX:.0e}")
@@ -347,9 +348,10 @@ def quadratic_form_count(table: CoverTable, exponent: int) -> int:
     counts covers of the section extended by a tiled layer direction.
     x = M e0 is the counts reversed, so this is (M^exponent)[0, 0], the
     one column x through `_close` at exponent - 2.  Predicts 24 k * 2^n
-    bytes and ceil(exponent / 2 - 1) * k * P * 2^n element updates, P the
-    pieces, R the sum of all counts and B = exponent * bits(R): k = 1 if
-    B <= 63, else k = ceil((B + 1) / (62 - max(bits(R), 32))) residues.
+    bytes, 32 k * 2^n if the operator holds a transposed copy, and
+    ceil(exponent / 2 - 1) * k * P * 2^n element updates, P the pieces, R
+    the sum of all counts and B = exponent * bits(R): k = 1 if B <= 63,
+    else k = ceil((B + 1) / (62 - max(bits(R), 32))) residues.
     """
     if exponent < 2:
         raise ValueError("quadratic form needs at least two layers")

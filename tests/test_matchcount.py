@@ -154,15 +154,20 @@ def test_mask_range_checked():
     assert torus.entry(7, 0) == torus.entry(0, 7) == 1
 
 
-def reference_place(rows, point_weights, edges):
+def reference_place(rows, pieces, x):
     """The pieces placed upward, mask by mask in Python: rows[mask] lists the batch values.
 
     Placed on x, the pieces leave at U the sum of c(U - T) x(T) over the
-    subsets T of U, so the sweep's M x is this placement reversed.
+    subsets T of U, so the sweep's M x is this placement reversed.  The
+    pieces go in the order of the sweep that `pieces` makes for x: those
+    whose lower end is below its split bit first, then the rest, each
+    group points first and then edges.
     """
-    pieces = [(1 << v, weight) for v, weight in enumerate(point_weights) if weight]
-    pieces += [((1 << v) | (1 << w), mult) for v, w, mult in edges]
-    for bits, factor in pieces:
+    split = matchcount.split_bit(x.shape, x.itemsize)
+    updates = [(v, 1 << v, weight) for v, weight in enumerate(pieces.point_weights) if weight]
+    updates += [(v, (1 << v) | (1 << w), mult) for v, w, mult in pieces.edges]
+    updates.sort(key=lambda update: update[0] >= split)
+    for _, bits, factor in updates:
         for mask, row in enumerate(rows):
             if mask & bits == bits:
                 source = rows[mask ^ bits]
@@ -192,7 +197,7 @@ def test_place_pieces_matches_a_per_mask_reference(monkeypatch, dims, kind, dime
     for batch in (None, 1, 2, 3, 4):
         for x in kernel_inputs(pieces.full + 1, batch, rng):
             rows = x.reshape(len(x), -1).tolist()
-            reference_place(rows, pieces.point_weights, pieces.edges)
+            reference_place(rows, pieces, x)
             want = np.array(rows[::-1], dtype=x.dtype).reshape(x.shape)
             got = SweepOperator(pieces, x.shape, x.dtype)(x)
             if x.dtype == object:
@@ -207,7 +212,7 @@ def assert_float_placement_matches_the_reference(pieces, seed):
     for batch in (None, 3):
         x = next(kernel_inputs(pieces.full + 1, batch, rng))
         rows = x.reshape(len(x), -1).tolist()
-        reference_place(rows, pieces.point_weights, pieces.edges)
+        reference_place(rows, pieces, x)
         got = SweepOperator(pieces, x.shape, x.dtype)(x)
         assert np.array_equal(got, np.array(rows[::-1]).reshape(x.shape))
 
@@ -229,16 +234,20 @@ def test_place_pieces_across_the_buffer_threshold_matches_the_reference(dims):
 
 
 def unscoped_sweep(pieces, x):
-    """`sweep_apply` as it ran before the sweep scoped numpy's buffer size."""
+    """`sweep_apply` in one layout, without numpy's buffer size scoped, in the sweep's order."""
     z = np.array(x, order="C")
     b = z.size // z.shape[0]
-    for v, weight in enumerate(pieces.point_weights):
-        if weight:
+    split = matchcount.split_bit(z.shape, z.itemsize)
+    updates = [(v, v, weight) for v, weight in enumerate(pieces.point_weights) if weight]
+    updates += pieces.edges
+    updates.sort(key=lambda update: update[0] >= split)
+    for v, w, factor in updates:
+        if v == w:
             axis = z.reshape(-1, 2, b << v)
-            unscoped_add_scaled(axis[:, 1], axis[:, 0], weight)
-    for v, w, mult in pieces.edges:
-        pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
-        unscoped_add_scaled(pair[:, 1, :, 1], pair[:, 0, :, 0], mult)
+            unscoped_add_scaled(axis[:, 1], axis[:, 0], factor)
+        else:
+            pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
+            unscoped_add_scaled(pair[:, 1, :, 1], pair[:, 0, :, 0], factor)
     return z[::-1]
 
 

@@ -114,8 +114,9 @@ def test_predicted_bytes_bound_the_traced_peak(predictions, case):
 
 
 def test_an_odd_dimer_only_bracket_holds_one_operator(predictions):
-    # M^2 applies one sweep operator twice: 49.5 B per mask traced at (5, 3),
-    # where a second operator's buffer made it 57.9
+    # M^2 applies one sweep operator twice: 50.5 B per mask traced at (5, 3),
+    # the operator's transposed copy included; a second operator would add
+    # at least 8 B
     bounds.transfer_log_radius((3,), dimer_only=True)
     bounds.transfer_log_radius.cache_clear()
     peak = traced_peak(lambda: bounds.transfer_log_radius((5, 3), dimer_only=True))

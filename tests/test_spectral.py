@@ -5,9 +5,10 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
+from mdentropy import spectral
 from mdentropy.lattice import LatticeShape
-from mdentropy.matchcount import CoverTable, SectionKind
-from mdentropy.spectral import operator_power_method, power_method
+from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, SweepOperator
+from mdentropy.spectral import SHIFT, operator_power_method, power_method
 from mdentropy.symmetry import compute_orbits, generate_motion_group
 from mdentropy.transfer import build_quotient
 
@@ -240,3 +241,39 @@ def test_unit_weights_match_the_operator_path_bitwise():
         assert got == want
         assert np.array_equal(got_vec, want_vec)
         assert history_operator == history_matrix
+
+
+def whole_vector_history(apply, size, tol):
+    """The steps of `operator_power_method` without sectors, every reduction over the whole vector."""
+    x, lower, upper, history = np.ones(size), -math.inf, math.inf, []
+    while True:
+        y = apply(x) + x * SHIFT
+        lower = max(lower, float(np.min(y / x)))
+        upper = min(upper, float(np.max(y / x)))
+        estimate = min(max(float(np.sum(x * y) / np.sum(x * x)), lower), upper)
+        history.append((len(history) + 1, lower - SHIFT, upper - SHIFT, estimate - SHIFT))
+        if upper - lower <= tol * max(1.0, abs(estimate)):
+            return history
+        x = y / math.sqrt(np.sum(y * y))
+
+
+# 2^15 and 2^16 entries step in two and four blocks of 2^14, the 9-point
+# sweep in four blocks of 128; the 8-point quotient has 30 orbits, so it
+# runs as one block
+@pytest.mark.parametrize("case", ["sweep-15", "sweep-16", "sweep-9-blocks-of-128", "quotient-8"])
+def test_blocked_steps_match_whole_vector_reductions_bitwise(monkeypatch, case):
+    if case == "quotient-8":
+        matrix = torus_quotient((8,)).to_dense()
+        apply, size = matrix.__matmul__, len(matrix)
+    else:
+        n = int(case.split("-")[1])
+        if n == 9:
+            monkeypatch.setattr(spectral, "_BLOCK", 128)
+        size = 1 << n
+        apply = SweepOperator(SectionPieces(LatticeShape((n,)), SectionKind.TORUS),
+                              (size,), np.float64)
+    want = whole_vector_history(apply, size, 1e-12)
+    history = []
+    bracket, _ = operator_power_method(apply, size, history=history)
+    assert bracket.iterations > 1
+    assert history == want

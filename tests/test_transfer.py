@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 from mdentropy import transfer
 from mdentropy.bounds import dimer_sectors
 from mdentropy.lattice import CapacityError, LatticeShape
-from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces
+from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, split_bit
 from mdentropy.symmetry import compute_orbits, generate_motion_group
 from mdentropy.transfer import (
     QuotientMatrix,
@@ -150,17 +150,23 @@ def reference_sweep(pieces, x):
     """M x as the sweep was first written: pieces placed upward on a copy, then reversed.
 
     A point piece at v adds weight * z(A - v) into each z(A) with v in A,
-    an edge mult * z(A - v - w) into each z(A) holding both ends.
+    an edge mult * z(A - v - w) into each z(A) holding both ends.  The
+    pieces go in the sweep's order: those whose lower end is below the
+    split bit first, then the rest, each group points first, then edges.
     """
     z = np.array(x, order="C")
     b = z.size // z.shape[0]
-    for v, weight in enumerate(pieces.point_weights):
-        if weight:
+    split = split_bit(z.shape, z.itemsize)
+    updates = [(v, v, weight) for v, weight in enumerate(pieces.point_weights) if weight]
+    updates += pieces.edges
+    updates.sort(key=lambda update: update[0] >= split)
+    for v, w, factor in updates:
+        if v == w:
             axis = z.reshape(-1, 2, b << v)
-            axis[:, 1] += weight * axis[:, 0]
-    for v, w, mult in pieces.edges:
-        pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
-        pair[:, 1, :, 1] += mult * pair[:, 0, :, 0]
+            axis[:, 1] += factor * axis[:, 0]
+        else:
+            pair = z.reshape(-1, 2, 1 << (w - v - 1), 2, b << v)
+            pair[:, 1, :, 1] += factor * pair[:, 0, :, 0]
     return z[::-1]
 
 
@@ -224,6 +230,56 @@ def test_operator_input_may_be_its_buffer(dtype):
     want = sweep(sweep(x).copy()).copy()
     sweep(x)
     assert np.array_equal(sweep(sweep.buffer), want)
+
+
+# pairs of operators on both sides of the split rule (buffers of 64 KiB to
+# 1 MiB in rows of at most 256 B): 12 and 13 points, 17 and 18, three
+# residues of two columns over 11 points against three residues of one,
+# rows of 32 and 64 entries, and 1 MiB against 1.06 MiB in rows of 16 and
+# 17; object arrays where they are quick
+SPLIT_SIDES = [
+    ((12,), SectionKind.PROTRUDING, None, False),
+    ((13,), SectionKind.PROTRUDING, None, True),
+    ((17,), SectionKind.TORUS, None, True),
+    ((6, 3), SectionKind.TORUS, None, False),
+    ((11,), SectionKind.MIXED, 6, True),
+    ((11,), SectionKind.MIXED, 3, False),
+    ((5, 2), SectionKind.PROTRUDING, 32, True),
+    ((3, 3), SectionKind.PROTRUDING, 64, False),
+    ((13,), SectionKind.TORUS, 16, True),
+    ((13,), SectionKind.TORUS, 17, False),
+]
+
+
+@pytest.mark.parametrize("dims,kind,batch,split", SPLIT_SIDES,
+                         ids=["x".join(map(str, dims)) + f"-{kind.value}-{batch or 'vector'}"
+                              for dims, kind, batch, _ in SPLIT_SIDES])
+def test_exact_sweeps_match_the_reference_on_both_sides_of_the_split(dims, kind, batch, split):
+    pieces = SectionPieces(LatticeShape(dims), kind)
+    shape = (pieces.full + 1,) if batch is None else (pieces.full + 1, batch)
+    assert (split_bit(shape, 8) > 0) == split
+    ints = np.random.default_rng(prod(shape)).integers(0, 1000, shape)
+    for dtype in (np.int64, object) if prod(shape) <= 1 << 14 else (np.int64,):
+        x = ints.astype(dtype)
+        once = reference_sweep(pieces, x)
+        sweep = SweepOperator(pieces, shape, dtype)
+        assert np.array_equal(sweep(x), once)
+        assert np.array_equal(sweep(sweep(x)), reference_sweep(pieces, once))
+        sweep.buffer[...] = x
+        assert np.array_equal(sweep(sweep.buffer), once)
+
+
+@pytest.mark.parametrize("dims,batch", [((13,), None), ((4, 4), None), ((17,), None),
+                                        ((8, 2), 3)], ids=["13", "4x4", "17", "8x2-batch-3"])
+def test_float_sweeps_of_small_integers_are_exact(dims, batch):
+    # integers below 2^53 add exactly in float64 in any order, so this holds
+    # whatever order the sweep places its pieces in
+    pieces = SectionPieces(LatticeShape(dims), SectionKind.TORUS)
+    shape = (pieces.full + 1,) if batch is None else (pieces.full + 1, batch)
+    x = np.random.default_rng(sum(dims)).integers(0, 1000, shape)
+    want = SweepOperator(pieces, shape, np.int64)(x)
+    assert want.max() < 1 << 53
+    assert np.array_equal(SweepOperator(pieces, shape, np.float64)(x.astype(np.float64)), want)
 
 
 def _torus_sections(max_points):
