@@ -166,6 +166,9 @@ def operator_power_method(apply, size: int, tol: float = TOL, max_iter: int = MA
         order = np.argsort(sectors, kind="stable")
         starts = np.cumsum(counts) - counts
         gathered = np.empty(size)
+        # labels spread in chunks, so numpy's intp copy of them stays small
+        spread = [(sectors[start:start + _SPREAD_CHUNK], gathered[start:start + _SPREAD_CHUNK])
+                  for start in range(0, size, _SPREAD_CHUNK)]
 
         def gather(values):
             return np.take(values, order, out=gathered, mode="clip")
@@ -185,10 +188,8 @@ def operator_power_method(apply, size: int, tol: float = TOL, max_iter: int = MA
     def normalize(v, squares):
         norms = np.sqrt(squares)
         if sectors is not None:
-            # labels spread in chunks, so numpy's intp copy of them stays small
-            for start in range(0, size, _SPREAD_CHUNK):
-                part = slice(start, start + _SPREAD_CHUNK)
-                np.take(norms, sectors[part], out=gathered[part], mode="clip")
+            for labels, out in spread:
+                np.take(norms, labels, out=out, mode="clip")
             norms = gathered
         np.divide(v, norms, out=x)
 
