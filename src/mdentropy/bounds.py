@@ -97,13 +97,13 @@ def check_section(dims, dimer_only: bool = False) -> LatticeShape:
     which operators of 13 to 17 points hold) and the half-size products
     of doubled edges.  The step's scratch is one block of 2^14 entries;
     up to 14 points it is the whole vector, and the 1 MiB holds it.  A
-    dimer-only one, at 60 B per mask plus 1 MiB, adds a whole-vector
-    scratch, a gather buffer, the int64 sort order and the int8 labels,
-    which are spread in small chunks.  An odd section's M^2 step applies
-    its one operator twice and holds no second one.  Traced peaks per
-    mask: 25.2-28.6 B at 16 and 17 points, 33.7 B at 14, 16.4-16.7 B
-    from 18 points on; dimer-only 50.1-50.5 B at 15 to 17 points, 42.0 B
-    at 18 and 49.0 B at 19.
+    dimer-only one, at 60 B per mask plus 1 MiB, holds the iterate, a
+    work vector, a whole-vector scratch, the int64 sort order, the int8
+    labels and the operator's buffer or buffers: its transposed copy, or
+    numpy's copy of the buffer that an odd section's M^2 step hands back.
+    Traced peaks per mask: 25.2-28.6 B at 16 and 17 points, 33.7 B at 14,
+    16.4-16.7 B from 18 points on; dimer-only 49.1-49.9 B at 15 to 17
+    points, 41.0-41.1 B at 18 and 20, 49.0 B at 19 and 21.
     """
     shape = _section_shape(_canonical(dims))
     check_memory(((60 if dimer_only else 30) << shape.n) + (1 << 20),

@@ -277,12 +277,12 @@ class CoverTable(SectionPieces):
     """Cover counts for all 2^n subsets of one section configuration.
 
     Predicts 24 B per mask: the sweep's buffer, which holds the indicator
-    it starts from, and the buffer's transposed copy or, for an operator
-    that does not split, numpy's copy of the overlapping input; a
-    half-size `factor * source` temporary and the views; in object dtype
-    also 2 s, s the size of an int as large as the bound.  Traced peaks:
-    16.0-16.4 B per mask on unit-factor tables, 20.3-21.3 B with weighted
-    pieces (protruding (4, 4) and (7, 2)).
+    it starts from, its transposed copy at 13 to 17 points, a half-size
+    `factor * source` temporary and the views; in object dtype also 2 s,
+    s the size of an int as large as the bound.  Traced peaks: 8.0-8.2 B
+    per mask on unit-factor tables from 18 points, 12.0-12.1 B with
+    weighted pieces (protruding (5, 4) and (6, 3)); 16.4 B and 20.3-21.3
+    B on tables that split ((16,); protruding (4, 4) and (7, 2)).
     """
 
     def __init__(self, shape: LatticeShape, kind: SectionKind, dimer_only: bool = False):
@@ -300,8 +300,9 @@ class CoverTable(SectionPieces):
         check_memory((24 + ints) << self.shape.n, f"a {self.shape.n}-point cover table")
         sweep = SweepOperator(self, (self.full + 1,), dtype)
         sweep.buffer.fill(0)
-        sweep.buffer[0] = 1
-        counts = sweep(sweep.buffer)[::-1]
+        # e0 reversed, so the call's reversed copy of it is the buffer itself
+        sweep.buffer[-1] = 1
+        counts = sweep(sweep.buffer[::-1])[::-1]
         counts.flags.writeable = False
         return counts
 

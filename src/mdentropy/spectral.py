@@ -44,11 +44,14 @@ sum of the whole vector bit for bit, and so are the brackets.  The
 scratch block takes 128 KiB where a whole scratch vector took 8 B per
 mask, which pays for the sweep's transposed copy (see `matchcount`): a
 monomer-dimer bracket holds three vectors of its size, x and the sweep's
-two layouts.  Sectored operators and vectors of other sizes run as one
-block, reduced as a whole.  Sectors add one buffer, into which `take`
-gathers each sector's entries, in stable-sort order, for `reduceat`, and
-spread the sector norms over the labels in chunks of `_SPREAD_CHUNK` =
-2^12 entries, so numpy's intp copy of the int8 labels stays small.
+two layouts.  Vectors of other sizes run as one block, and so do
+sectored ones, kept in sector order: the labels are sorted once, stably,
+so each sector is one run of x in ascending mask order.  A sectored step
+scatters x into a work vector in natural order for `apply` and gathers
+the product back into it in sector order, as y, so `reduceat` over the
+run starts reduces the step's terms per sector.  Normalization divides
+each run, the whole vector if unsectored, by its own norm; the vector
+returned is zeroed outside the top run and put back in natural order.
 Non-finite values are caught on the ratio extremes instead of a pass
 over y: x stays positive, so an inf or NaN anywhere in y reaches the
 minimum or the maximum of y / x, and the step raises ArithmeticError.
@@ -71,9 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TOL, SHIFT, MAX_ITER = 1e-12, 1.0, 1_000_000
-# entries per block of a step, and per chunk of a sector-norm spread
+# entries per block of a step
 _BLOCK = 1 << 14
-_SPREAD_CHUNK = 1 << 12
 
 
 @dataclass
@@ -150,10 +152,8 @@ def operator_power_method(apply, size: int, tol: float = TOL, max_iter: int = MA
         raise ValueError("tol must be nonnegative")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    # `gather` lays values out for `reduce`, which reduces them per sector into out
     if sectors is None:
-        def gather(values):
-            return values
+        step, order, runs = apply, None, [slice(0, size)]
 
         def reduce(ufunc, values, out):
             ufunc.reduce(values, out=out, keepdims=True)
@@ -163,50 +163,45 @@ def operator_power_method(apply, size: int, tol: float = TOL, max_iter: int = MA
         if not (np.can_cast(sectors.dtype, np.intp) and sectors.shape == (size,)
                 and sectors.min() >= 0 and (counts := np.bincount(sectors)).all()):
             raise ValueError("sector labels must be 0, 1, ..., k - 1 over the whole vector")
+        # the iterate is kept in sector order, each sector one run of it
         order = np.argsort(sectors, kind="stable")
         starts = np.cumsum(counts) - counts
-        gathered = np.empty(size)
-        # labels spread in chunks, so numpy's intp copy of them stays small
-        spread = [(sectors[start:start + _SPREAD_CHUNK], gathered[start:start + _SPREAD_CHUNK])
-                  for start in range(0, size, _SPREAD_CHUNK)]
+        runs = list(map(slice, starts.tolist(), (starts + counts).tolist()))
+        work = np.empty(size)
 
-        def gather(values):
-            return np.take(values, order, out=gathered, mode="clip")
+        def step(x):
+            work[order] = x
+            return np.take(apply(work), order, out=work, mode="clip")
 
         def reduce(ufunc, values, out):
             ufunc.reduceat(values, starts, out=out)
     x = np.ones(size)
     # a power-of-two vector without sectors steps in blocks, whose sums add
     # up by halving as numpy's pairwise sum does; see the module notes
-    block = _BLOCK if sectors is None and size > _BLOCK and not size & size - 1 else size
+    block = _BLOCK if order is None and size > _BLOCK and not size & size - 1 else size
     scratch = np.empty(block)
     # per block, per sector: ratio minima and maxima, then sums of x y, x x and y y
-    terms = np.empty((size // block, 5, 1 if sectors is None else len(starts)))
+    terms = np.empty((size // block, 5, len(runs)))
     blocks = [(slice(start, start + block), x[start:start + block], *row)
               for start, row in zip(range(0, size, block), terms)]
 
     def normalize(v, squares):
-        norms = np.sqrt(squares)
-        if sectors is not None:
-            for labels, out in spread:
-                np.take(norms, labels, out=out, mode="clip")
-            norms = gathered
-        np.divide(v, norms, out=x)
+        for run, square in zip(runs, squares):
+            np.divide(v[run], math.sqrt(square), out=x[run])
 
     lower = upper = None
     for iterations in range(1, max_iter + 1):
-        y = apply(x)
+        y = step(x)
         for part, xb, least, most, xy, xx, yy in blocks:
             yb = y[part]
             np.multiply(xb, SHIFT, out=scratch)
             np.add(yb, scratch, out=yb)
             np.divide(yb, xb, out=scratch)
-            ratios = gather(scratch)
-            reduce(np.minimum, ratios, least)
-            reduce(np.maximum, ratios, most)
+            reduce(np.minimum, scratch, least)
+            reduce(np.maximum, scratch, most)
             for out, a, b in ((xy, xb, yb), (xx, xb, xb), (yy, yb, yb)):
                 np.multiply(a, b, out=scratch)
-                reduce(np.add, gather(scratch), out)
+                reduce(np.add, scratch, out)
         low, high, xy, xx, yy = _fold(terms).tolist()
         # x > 0, so an inf or NaN anywhere in y reaches a ratio extreme
         if not all(map(math.isfinite, low + high)):
@@ -229,6 +224,9 @@ def operator_power_method(apply, size: int, tol: float = TOL, max_iter: int = MA
             normalize(x, xx)
             break
         normalize(y, yy)
-    if sectors is not None:
-        x[sectors != top] = 0.0
-    return bracket, x
+    if order is None:
+        return bracket, x
+    x[:runs[top].start] = 0.0
+    x[runs[top].stop:] = 0.0
+    work[order] = x
+    return bracket, work

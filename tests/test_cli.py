@@ -478,6 +478,7 @@ RECORDED_STDOUT = {
     "table_1_14.csv": ("table", "--which", "1", "--max-size", "14"),
     "table_3_14.csv": ("table", "--which", "3", "--max-size", "14"),
     "table_2_12.csv": ("table", "--which", "2", "--max-size", "12"),
+    "table_4_16.csv": ("table", "--which", "4", "--max-size", "16"),
     "bounds_h3.csv": ("bounds", "--target", "h3", "--upper", "2,2", "--lower", "2,1,1,1,2"),
     "bounds_h2.csv": ("bounds", "--target", "h2", "--upper", "6", "--lower", "1,6"),
     "bounds_h2t.csv": ("bounds", "--target", "h2t", "--upper", "3", "--lower", "2,1"),

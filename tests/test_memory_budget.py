@@ -114,13 +114,21 @@ def test_predicted_bytes_bound_the_traced_peak(predictions, case):
 
 
 def test_an_odd_dimer_only_bracket_holds_one_operator(predictions):
-    # M^2 applies one sweep operator twice: 50.5 B per mask traced at (5, 3),
+    # M^2 applies one sweep operator twice: 49.9 B per mask traced at (5, 3),
     # the operator's transposed copy included; a second operator would add
     # at least 8 B
     bounds.transfer_log_radius((3,), dimer_only=True)
     bounds.transfer_log_radius.cache_clear()
     peak = traced_peak(lambda: bounds.transfer_log_radius((5, 3), dimer_only=True))
     assert peak <= 52 << 15, peak / (1 << 15)
+
+
+def test_an_unsplit_table_holds_one_array():
+    # the (5, 4) sweep does not split, and its reversed copy of the
+    # reversed indicator is its own buffer: 8.0 B per mask traced, where
+    # numpy's copy of an overlapping input would add 8 B
+    peak = traced_peak(lambda: table((5, 4)))
+    assert peak <= 9 << 20, peak / (1 << 20)
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from mdentropy import spectral
+from mdentropy.bounds import dimer_sectors
 from mdentropy.lattice import LatticeShape
 from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, SweepOperator
 from mdentropy.spectral import SHIFT, operator_power_method, power_method
@@ -243,28 +244,71 @@ def test_unit_weights_match_the_operator_path_bitwise():
         assert history_operator == history_matrix
 
 
-def whole_vector_history(apply, size, tol):
-    """The steps of `operator_power_method` without sectors, every reduction over the whole vector."""
-    x, lower, upper, history = np.ones(size), -math.inf, math.inf, []
+def whole_vector_history(apply, size, tol, sectors=None):
+    """The steps and the vector of `operator_power_method`, every reduction over the whole
+    vector or, given sectors, over each sector selected in ascending mask order."""
+    if sectors is None:
+        parts, total = [slice(None)], np.sum
+    else:
+        parts = [sectors == label for label in range(sectors.max() + 1)]
+
+        def total(v):
+            # as `reduceat` sums a run: its first entry, then numpy's pairwise sum of the rest
+            return v[0] + np.sum(v[1:])
+    x, history = np.ones(size), []
+    lower, upper = [-math.inf] * len(parts), [math.inf] * len(parts)
     while True:
         y = apply(x) + x * SHIFT
-        lower = max(lower, float(np.min(y / x)))
-        upper = min(upper, float(np.max(y / x)))
-        estimate = min(max(float(np.sum(x * y) / np.sum(x * x)), lower), upper)
-        history.append((len(history) + 1, lower - SHIFT, upper - SHIFT, estimate - SHIFT))
-        if upper - lower <= tol * max(1.0, abs(estimate)):
-            return history
-        x = y / math.sqrt(np.sum(y * y))
+        lower = [max(lo, float(np.min(y[part] / x[part]))) for lo, part in zip(lower, parts)]
+        upper = [min(hi, float(np.max(y[part] / x[part]))) for hi, part in zip(upper, parts)]
+        top = upper.index(max(upper))
+        bottom, ceiling = max(lower), upper[top]
+        xs, ys = x[parts[top]], y[parts[top]]
+        estimate = min(max(float(total(xs * ys) / total(xs * xs)), bottom), ceiling)
+        history.append((len(history) + 1, bottom - SHIFT, ceiling - SHIFT, estimate - SHIFT))
+        if ceiling - bottom <= tol * max(1.0, abs(estimate)):
+            vector = np.zeros(size)
+            vector[parts[top]] = xs / math.sqrt(total(xs * xs))
+            return history, vector
+        for part in parts:
+            x[part] = y[part] / math.sqrt(total(y[part] * y[part]))
+
+
+def dimer_only_sweep(dims):
+    """The dimer-only bracket's operator, M or M^2, and its sector labels."""
+    shape = LatticeShape(dims)
+    sweep = SweepOperator(SectionPieces(shape, SectionKind.TORUS, True), (1 << shape.n,),
+                          np.float64)
+    apply = (lambda x: sweep(sweep(x))) if shape.n % 2 else sweep
+    return apply, 1 << shape.n, dimer_sectors(shape)
+
+
+def unsorted_blocks():
+    """A direct sum of three positive blocks, their indices interleaved."""
+    rng = np.random.default_rng(5)
+    labels = rng.permutation(np.arange(15) % 3)
+    weights = rng.uniform(0.5, 2.0, (15, 15))
+    matrix = np.where(labels[:, None] == labels, weights + weights.T, 0.0)
+    return matrix.__matmul__, 15, labels
 
 
 # 2^15 and 2^16 entries step in two and four blocks of 2^14, the 9-point
 # sweep in four blocks of 128; the 8-point quotient has 30 orbits, so it
-# runs as one block
-@pytest.mark.parametrize("case", ["sweep-15", "sweep-16", "sweep-9-blocks-of-128", "quotient-8"])
+# runs as one block, and so do sectored operators: nine |b - w| sectors
+# at (4, 4), parity at (4, 3) and on the M^2 path of (5, 3)
+@pytest.mark.parametrize("case", ["sweep-15", "sweep-16", "sweep-9-blocks-of-128", "quotient-8",
+                                  "dimer-4x4", "dimer-4x3", "dimer-5x3", "unsorted-blocks"])
 def test_blocked_steps_match_whole_vector_reductions_bitwise(monkeypatch, case):
+    sectors = None
     if case == "quotient-8":
         matrix = torus_quotient((8,)).to_dense()
         apply, size = matrix.__matmul__, len(matrix)
+    elif case.startswith("dimer"):
+        apply, size, sectors = dimer_only_sweep(tuple(map(int, case[6:].split("x"))))
+        assert sectors.max() + 1 == (9 if case == "dimer-4x4" else 2)
+    elif case == "unsorted-blocks":
+        apply, size, sectors = unsorted_blocks()
+        assert np.any(np.diff(sectors) < 0)
     else:
         n = int(case.split("-")[1])
         if n == 9:
@@ -272,8 +316,9 @@ def test_blocked_steps_match_whole_vector_reductions_bitwise(monkeypatch, case):
         size = 1 << n
         apply = SweepOperator(SectionPieces(LatticeShape((n,)), SectionKind.TORUS),
                               (size,), np.float64)
-    want = whole_vector_history(apply, size, 1e-12)
+    want, want_vector = whole_vector_history(apply, size, 1e-12, sectors)
     history = []
-    bracket, _ = operator_power_method(apply, size, history=history)
+    bracket, vector = operator_power_method(apply, size, history=history, sectors=sectors)
     assert bracket.iterations > 1
     assert history == want
+    assert np.array_equal(vector, want_vector)
