@@ -99,11 +99,11 @@ def check_section(dims, dimer_only: bool = False) -> LatticeShape:
     up to 14 points it is the whole vector, and the 1 MiB holds it.  A
     dimer-only one, at 60 B per mask plus 1 MiB, holds the iterate, a
     work vector, a whole-vector scratch, the int64 sort order, the int8
-    labels and the operator's buffer or buffers: its transposed copy, or
-    numpy's copy of the buffer that an odd section's M^2 step hands back.
-    Traced peaks per mask: 25.2-28.6 B at 16 and 17 points, 33.7 B at 14,
-    16.4-16.7 B from 18 points on; dimer-only 49.1-49.9 B at 15 to 17
-    points, 41.0-41.1 B at 18 and 20, 49.0 B at 19 and 21.
+    labels and the operator's buffer, with its transposed copy at 13 to 17
+    points; an odd section's M^2 step (`SweepOperator.square`) copies
+    nothing more.  Traced peaks per mask: 25.2-28.6 B at 16 and 17 points,
+    33.7 B at 14, 16.4-16.7 B from 18 points on; dimer-only 49.4-50.1 B
+    at 15 to 17 points, 41.0-41.1 B from 18 to 21, odd or even.
     """
     shape = _section_shape(_canonical(dims))
     check_memory(((60 if dimer_only else 30) << shape.n) + (1 << 20),
@@ -117,12 +117,13 @@ def section_quotient(dims, dimer_only: bool = False) -> QuotientMatrix:
     Transposing axes is a relabeling automorphism of the torus, so every
     axis order of a section shares one cache entry.  A reference for the
     sweep brackets.  Its bracket with `power_method` is predicted for m
-    orbits: 24 B per quotient entry (int64, its float64 copy, and the CSR
-    copy of its nonzeros from which scipy labels the components: about 32
-    B per nonzero, and from 12 points on at most a quarter of the entries
-    are nonzero), 100 B per orbit, and 160 B per mask plus 4 MiB for the
-    table, the orbit labels and the fold.  Its 2^n terms alone (m = 0) are
-    checked first, so no group is generated for a section past 22 points.
+    orbits: 24 B per quotient entry (int64, its float64 copy, and the
+    index pairs of its nonzeros from which the components are labelled:
+    at most 25 B per nonzero, and from 12 points on at most a quarter of
+    the entries are nonzero), 100 B per orbit, and 160 B per mask plus 4
+    MiB for the table, the orbit labels and the fold.  Its 2^n terms alone
+    (m = 0) are checked first, so no group is generated for a section
+    past 22 points.
     """
     return _section_quotient(_canonical(dims), dimer_only)
 
@@ -191,7 +192,7 @@ def _log_radius(dims: tuple[int, ...], dimer_only: bool, tol: float, max_iter: i
     if dimer_only:
         sectors = dimer_sectors(shape)
         if shape.n % 2:
-            apply, power = (lambda x: sweep(sweep(x))), 2
+            apply, power = sweep.square, 2
     bracket, _ = operator_power_method(apply, size, tol=tol, max_iter=max_iter, sectors=sectors)
 
     def safe_log(x: float) -> float:

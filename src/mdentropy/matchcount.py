@@ -27,7 +27,13 @@ O(n * deg * 2^n) vectorized additions.  A trailing batch axis, x of shape
 (2^n, B), applies M to B columns in one sweep.  The cover table is one
 such product: (M e0)(S) = entry(S, 0) = c(full - S), so `CoverTable`
 reads its counts off the image of the indicator e0 of the empty mask,
-reversed.
+reversed.  Placing a piece upward on x itself, weight * x(T) into each
+x(T | v), makes entry for entry the additions that placing it downward
+makes on x reversed.  So M = R U for R the reversal and U the upward
+placement, as well as M = D R for D the downward one, and M^2 = (D R)(R
+U) = D U: `square` places every piece upward on a plain copy of x and
+then downward, the additions of `op(op(x))` in the same order, so the
+same bits, with no reversed copy between.
 
 `piece_views` builds the (target, source, factor) views of every piece on
 one of the operator's buffers, the target viewing the masks without the
@@ -123,11 +129,16 @@ one-shot tables of that size gain as a whole is not measured, so the rule
 starts at 13 points.
 
 Counts are exact.  The table is accumulated in int64 only when the
-product over points of (weight + sum of edge multiplicities at the point)
-is below 2^63: every cover assigns each point one of those choices, so the
-product bounds every count, and the partial sums, which only grow, never
-exceed the final counts.  Otherwise it is accumulated in Python integers
-(object dtype).  Either way `counts` is the sweep's image reversed, a read-only view.
+product over points v of max(1, weight of v + the multiplicities of the
+edges from v to higher points) is below 2^63.  That product bounds every
+count: the lowest point of a subset U is covered alone or by an edge to
+a higher point of U, so c(U) is at most that point's factor times the
+largest count of a smaller subset, and every factor is at least 1 (a
+point with no choice at all makes c(U) zero).  The partial sums, which
+only grow, never exceed the final counts.  Otherwise the table is
+accumulated in Python integers (object dtype).  Either way `counts` is
+the sweep's image reversed, a read-only view.  The 24-point (4, 3, 2)
+torus table, with a 46-bit bound, is built in int64.
 
 A section kind fixes which dimers are admissible by one mode per
 direction (see `lattice`): the box kind tiles every direction (tilings),
@@ -272,6 +283,16 @@ class SectionPieces:
                             if weight) + tuple(self.edges)
         self.full = (1 << shape.n) - 1
 
+    @property
+    def count_bound(self) -> int:
+        """A bound on every cover count: the product over points of max(1, the
+        point's weight plus the multiplicities of its edges to higher points);
+        see the module notes."""
+        choices = list(self.point_weights)
+        for v, _, mult in self.edges:
+            choices[v] += mult
+        return prod(max(1, c) for c in choices)
+
 
 class CoverTable(SectionPieces):
     """Cover counts for all 2^n subsets of one section configuration.
@@ -290,11 +311,7 @@ class CoverTable(SectionPieces):
         self.counts = self._build()
 
     def _build(self) -> np.ndarray:
-        degrees = list(self.point_weights)
-        for v, w, mult in self.edges:
-            degrees[v] += mult
-            degrees[w] += mult
-        bound = prod(degrees)
+        bound = self.count_bound
         dtype = exact_dtype(bound)
         ints = 0 if dtype is np.int64 else 2 * sys.getsizeof(bound)
         check_memory((24 + ints) << self.shape.n, f"a {self.shape.n}-point cover table")
@@ -331,7 +348,8 @@ class SweepOperator:
     returns the operator's buffer holding M x (see the module notes),
     valid until the next call.  x may be that buffer itself, so
     `op(op(x))` is M^2 x: `np.copyto` copies a source that overlaps its
-    destination before writing.  Only the pieces of `pieces` are read, so
+    destination before writing.  `square(x)` is the same M^2 x without
+    that copy.  Only the pieces of `pieces` are read, so
     a `SectionPieces` serves as well as a `CoverTable`.  An operator of
     `split_bit` k > 0 holds a second, transposed buffer for the pieces
     whose lower end is below k.
@@ -357,17 +375,37 @@ class SweepOperator:
             self._transposed = np.empty((1 << k, 1 << n - k) + self.shape[1:], dtype=dtype)
             self._low = piece_views(self._transposed.reshape(self.shape), low)
         self._rest = piece_views(self.buffer, rest)
+        self._upward = tuple([(source, target, factor) for target, source, factor in views]
+                             for views in (self._low, self._rest))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        self._check(x)
+        return self._place(x[::-1], self._low, self._rest)
+
+    def square(self, x: np.ndarray) -> np.ndarray:
+        """M^2 x in the operator's buffer, bit for bit `op(op(x))` without numpy's
+        copy of the buffer handed back: x is copied in unreversed and the
+        pieces are placed upward (target and source swapped), then
+        downward; see the module notes."""
+        self._check(x)
+        self._place(x, *self._upward)
+        return self._place(None, self._low, self._rest)
+
+    def _check(self, x: np.ndarray) -> None:
         if x.shape != self.shape:
             raise ValueError(f"array of shape {x.shape} does not match the operator's {self.shape}")
+
+    def _place(self, x: np.ndarray | None, low, rest) -> np.ndarray:
+        """Copy x into the buffer (None: it is there already) and run the updates low and
+        rest, low on the transposed copy."""
         if self._low:
-            np.copyto(self._transposed, x[::-1].reshape(self._blocks).swapaxes(0, 1))
-            run_updates(self._low)
+            source = self.buffer if x is None else x
+            np.copyto(self._transposed, source.reshape(self._blocks).swapaxes(0, 1))
+            run_updates(low)
             np.copyto(self.buffer.reshape(self._blocks), self._transposed.swapaxes(0, 1))
-        else:
-            np.copyto(self.buffer, x[::-1])
-        run_updates(self._rest)
+        elif x is not None:
+            np.copyto(self.buffer, x)
+        run_updates(rest)
         return self.buffer
 
 

@@ -22,11 +22,26 @@ into the bracket.
 `operator_power_method` is the one driver.  It takes an operator given
 only by its product, such as the site sweep of the full transfer matrix,
 and block labels from the caller.  `power_method` is its front for a
-matrix (dense or sparse): it labels the blocks, the connected
-components, with scipy, imported when it is called.  All blocks step
-together over one vector, with ratio extremes, inner products and norms
-reduced per block, so `iterations` counts joint steps; the vector
-returned is zero outside the block of the largest upper end.
+matrix (dense, or sparse with a `tocsr` method): it labels the blocks,
+the weak components of the nonzeros, with numpy alone (`_components`),
+so it needs no scipy for a dense matrix.  All blocks step together over
+one vector, with ratio extremes, inner products and norms reduced per
+block, so `iterations` counts joint steps; the vector returned is zero
+outside the block of the largest upper end.
+
+`_components` numbers the components in order of their smallest index,
+as scipy's `connected_components` does, so the blocks come in the same
+order.  Every index points at a smaller or equal one of its component,
+first each row at its smallest column (`np.minimum.reduceat` over the
+row runs of the nonzeros), then each at its root by pointer jumping,
+labels = labels[labels], until nothing moves.  A row whose columns'
+roots, reduced per row to a minimum and a maximum, are not all its own
+gives its nonzeros to a loop: while a nonzero joins two roots, the
+larger is pointed at the smaller, in both directions with
+`np.minimum.at`, the pointers jump again, and only the nonzeros whose
+roots still differ are kept.  Each round hooks at least one root.  An
+index never points above itself, so the root left of each component is
+its smallest index.
 
 A step allocates nothing of the operator's size itself: it works through
 numpy `out=` arguments on the iterate x, preallocated, the image y, which
@@ -107,17 +122,14 @@ def _fold(terms: np.ndarray) -> np.ndarray:
 def power_method(matrix, tol: float = TOL, max_iter: int = MAX_ITER, history: list | None = None):
     """Bracket the spectral radius of a nonnegative matrix.
 
-    `matrix` is a dense ndarray or scipy sparse matrix; `tol` is relative
-    bracket width.  The matrix front of `operator_power_method`, with the
-    connected components as sectors: a reducible matrix is stepped whole,
-    so `iterations` and `max_iter` count joint steps.  Returns
-    (SpectralBracket, eigenvector estimate on the dominant component,
-    zero elsewhere).
+    `matrix` is a dense array or a sparse matrix with a `tocsr` method,
+    such as scipy's; `tol` is relative bracket width.  The matrix front of
+    `operator_power_method`, with the weak components of the nonzeros as
+    sectors: a reducible matrix is stepped whole, so `iterations` and
+    `max_iter` count joint steps.  Returns (SpectralBracket, eigenvector
+    estimate on the dominant component, zero elsewhere).
     """
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
-    dense = not sparse.issparse(matrix)
+    dense = not hasattr(matrix, "tocsr")
     mat = np.asarray(matrix, dtype=np.float64) if dense else matrix.tocsr()
     m = mat.shape[0]
     if mat.shape != (m, m):
@@ -125,11 +137,67 @@ def power_method(matrix, tol: float = TOL, max_iter: int = MAX_ITER, history: li
     minval = mat.min() if dense else (mat.data.min() if mat.nnz else 0.0)
     if minval < 0:
         raise ValueError("matrix must be nonnegative")
-    # labelled from a CSR copy of the nonzeros: scipy converts a dense
-    # graph through float64 and index copies of twice its size
-    n_comp, labels = connected_components(sparse.csr_matrix(mat), directed=False)
+    count, labels = _components(mat, dense)
     return operator_power_method(mat.__matmul__, m, tol, max_iter, history,
-                                 labels if n_comp > 1 else None)
+                                 labels if count > 1 else None)
+
+
+def _components(mat, dense: bool) -> tuple[int, np.ndarray]:
+    """Count and labels of the weak components of a square matrix's nonzeros, numbered
+    in order of their smallest index; see the module notes.
+
+    `mat` is a float64 ndarray if `dense`, else a CSR matrix.  Each array
+    of one intp per nonzero is dropped as its successor is made, so at
+    most three of them and a bool per nonzero are held, 25 B per nonzero.
+    """
+    m = mat.shape[0]
+    counts, cols = _row_runs(mat, dense)
+    labels = np.arange(m)
+    heads = np.flatnonzero(counts)
+    counts = counts[heads]
+    starts = np.cumsum(counts) - counts
+    labels[heads] = np.minimum(heads, np.minimum.reduceat(cols, starts))
+    labels = _jump(labels)
+    # the nonzeros, on their roots, of the rows whose columns' roots are not all the row's
+    cols = labels[cols]
+    own = labels[heads]
+    loose = (np.minimum.reduceat(cols, starts) != own) | (np.maximum.reduceat(cols, starts) != own)
+    cols = cols[np.repeat(loose, counts)]
+    rows = np.repeat(own[loose], counts[loose])
+    while rows.size:
+        np.minimum.at(labels, rows, cols)
+        np.minimum.at(labels, cols, rows)
+        labels = _jump(labels)
+        rows = labels[rows]
+        cols = labels[cols]
+        apart = rows != cols
+        rows = rows[apart]
+        cols = cols[apart]
+    roots = labels == np.arange(m)
+    return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[labels]
+
+
+def _row_runs(mat, dense: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The number of nonzeros in each row, and their columns (intp) row by row; a dense
+    matrix's row indices are dropped on return."""
+    if dense:
+        rows, cols = np.nonzero(mat)
+        return np.bincount(rows, minlength=len(mat)), cols
+    counts = np.diff(mat.indptr)
+    cols = mat.indices[:mat.nnz].astype(np.intp)
+    data = mat.data[:mat.nnz]
+    if data.all():
+        return counts, cols
+    nonzero = data != 0
+    rows = np.repeat(np.arange(len(counts)), counts)[nonzero]
+    return np.bincount(rows, minlength=len(counts)), cols[nonzero]
+
+
+def _jump(labels: np.ndarray) -> np.ndarray:
+    """Point every index at the root of its pointers."""
+    while not np.array_equal(jumped := labels[labels], labels):
+        labels = jumped
+    return labels
 
 
 def operator_power_method(apply, size: int, tol: float = TOL, max_iter: int = MAX_ITER,

@@ -128,19 +128,20 @@ def test_beta_unconverged_exit(capsys):
     ("table", "--which", "4", "--max-size", "6"),
 ], ids=["beta", "beta-dimer-odd", "bounds", "table"])
 def test_numerical_breakdown_exits_cleanly(capsys, monkeypatch, argv):
-    # a NaN in the sweep's product stops the bracket with ArithmeticError:
-    # exit 3 as for a capped bracket, but with nothing printed
-    def poisoned(pieces, shape, dtype):
-        sweep = SweepOperator(pieces, shape, dtype)
+    # a NaN in the sweep's product, M x or M^2 x, stops the bracket with
+    # ArithmeticError: exit 3 as for a capped bracket, but with nothing printed
+    def poison(y):
+        y[-1] = math.nan
+        return y
 
-        def apply(x):
-            y = sweep(x)
-            y[-1] = math.nan
-            return y
+    class Poisoned(SweepOperator):
+        def __call__(self, x):
+            return poison(super().__call__(x))
 
-        return apply
+        def square(self, x):
+            return poison(super().square(x))
 
-    monkeypatch.setattr(mdentropy.bounds, "SweepOperator", poisoned)
+    monkeypatch.setattr(mdentropy.bounds, "SweepOperator", Poisoned)
     mdentropy.bounds.transfer_log_radius.cache_clear()
     try:
         code, out, err = run_cli(capsys, *argv)
@@ -516,7 +517,8 @@ COMMAND_KINDS = [
 
 # runs the commands given as a JSON list in argv[1] with the orbit
 # quotient's functions made to raise, then checks that none loaded scipy;
-# then a sparse matrix loads it
+# then a sparse matrix loads scipy.sparse, and its bracket leaves csgraph
+# unloaded
 SCIPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 import mdentropy
@@ -545,8 +547,10 @@ loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
 import numpy as np
 from scipy import sparse
 bracket, _ = power_method(sparse.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]])))
+power_method(np.eye(3))
 print(json.dumps({"codes": [code for code, _ in runs], "loaded": loaded,
-                  "dimer_out": runs[0][1], "bracket": [bracket.lower, bracket.upper]}))
+                  "dimer_out": runs[0][1], "bracket": [bracket.lower, bracket.upper],
+                  "csgraph": "scipy.sparse.csgraph" in sys.modules}))
 """
 
 
@@ -561,27 +565,34 @@ def test_commands_start_without_scipy():
     lower, upper = result["bracket"]
     assert lower <= 2.0 <= upper
     assert upper - lower <= 1e-9
+    assert result["csgraph"] is False
 
 
 # blocks scipy's import, as an install without the test extra has no
-# scipy: every command still runs, and power_method fails on the import
+# scipy: every command still runs, power_method brackets a dense matrix,
+# and full_matrix_sparse fails on the import
 SCIPY_BLOCKED_SCRIPT = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None
 import numpy as np
 import mdentropy.cli as cli
+from mdentropy.matchcount import CoverTable, SectionKind
+from mdentropy.lattice import LatticeShape
 from mdentropy.spectral import power_method
+from mdentropy.transfer import full_matrix_sparse
 
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
+bracket, _ = power_method(np.eye(2))
 try:
-    power_method(np.eye(2))
+    full_matrix_sparse(CoverTable(LatticeShape((2,)), SectionKind.TORUS))
     missing = None
 except ModuleNotFoundError as exc:
     missing = exc.name
-print(json.dumps({"codes": codes, "missing": missing}))
+print(json.dumps({"codes": codes, "bracket": [bracket.lower, bracket.upper],
+                  "missing": missing}))
 """
 
 
@@ -589,4 +600,4 @@ def test_commands_run_with_scipy_blocked():
     proc = run_python("-c", SCIPY_BLOCKED_SCRIPT, json.dumps(COMMAND_KINDS))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [EXIT_OK] * len(COMMAND_KINDS),
-                                       "missing": "scipy"}
+                                       "bracket": [1.0, 1.0], "missing": "scipy"}

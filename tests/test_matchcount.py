@@ -132,6 +132,32 @@ def test_counts_grow_with_subset():
         assert table.count(sub) <= table.count(mask)
 
 
+@pytest.mark.parametrize("dimer_only", [False, True], ids=["md", "dimer"])
+@pytest.mark.parametrize("kind", list(SectionKind), ids=lambda kind: kind.value)
+# extents 1 and 2 give protrusion slots and doubled wrap edges
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (7,), (2, 2), (4, 3), (3, 2, 2), (3, 1, 1)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_count_bound_holds_every_count(dims, kind, dimer_only):
+    table = CoverTable(LatticeShape(dims), kind, dimer_only)
+    assert int(table.counts.max()) <= table.count_bound
+
+
+def test_the_4x3x2_torus_table_is_int64(monkeypatch):
+    # every edge counted once, at its lower end: a 46-bit bound, so the
+    # table is int64 and its 24 B per mask, 384 MiB, fit the budget
+    shape = LatticeShape((4, 3, 2))
+    assert SectionPieces(shape, SectionKind.TORUS).count_bound.bit_length() == 46
+    table = CoverTable(shape, SectionKind.TORUS)
+    assert table.counts.dtype == np.int64
+    monkeypatch.setattr(oracle, "MAX_ORACLE_POINTS", shape.n)
+    rng = random.Random(24)
+    for mask in [0, table.full] + [rng.randrange(table.full + 1) for _ in range(20)]:
+        assert table.count(mask) == oracle.count_subset_covers(shape.dims, SectionKind.TORUS, mask)
+    # two protrusion slots per extent-1 direction keep this one past 2^63
+    padded = SectionPieces(LatticeShape((12,) + (1,) * 19), SectionKind.PROTRUDING)
+    assert padded.count_bound >= 1 << 63
+
+
 def test_capacity_limit():
     # 2^26 masks at 24 B each are past the memory budget
     with pytest.raises(CapacityError):

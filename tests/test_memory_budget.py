@@ -4,11 +4,12 @@ request past the budget fails before it allocates anything of state size."""
 import tracemalloc
 from functools import partial
 
+import numpy as np
 import pytest
 
-# full_matrix_sparse and power_method import scipy when first called;
-# importing it here keeps the one-off import out of every traced window
-import scipy.sparse.csgraph  # noqa: F401
+# full_matrix_sparse imports scipy when first called; importing it here
+# keeps the one-off import out of every traced window
+import scipy.sparse  # noqa: F401
 
 import mdentropy.bounds as bounds
 import mdentropy.matchcount as matchcount
@@ -16,7 +17,7 @@ import mdentropy.symmetry as symmetry
 import mdentropy.transfer as transfer
 from mdentropy import lattice
 from mdentropy.lattice import MEMORY_BUDGET, CapacityError, LatticeShape, check_memory
-from mdentropy.matchcount import CoverTable, SectionKind
+from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, SweepOperator
 from mdentropy.spectral import power_method
 from mdentropy.symmetry import compute_orbits, generate_motion_group
 
@@ -114,13 +115,26 @@ def test_predicted_bytes_bound_the_traced_peak(predictions, case):
 
 
 def test_an_odd_dimer_only_bracket_holds_one_operator(predictions):
-    # M^2 applies one sweep operator twice: 49.9 B per mask traced at (5, 3),
-    # the operator's transposed copy included; a second operator would add
-    # at least 8 B
+    # M^2 places the pieces of one sweep operator upward, then downward:
+    # 50.1 B per mask traced at (5, 3), the operator's transposed copy
+    # included; a second operator would add at least 8 B
     bounds.transfer_log_radius((3,), dimer_only=True)
     bounds.transfer_log_radius.cache_clear()
     peak = traced_peak(lambda: bounds.transfer_log_radius((5, 3), dimer_only=True))
     assert peak <= 52 << 15, peak / (1 << 15)
+
+
+def test_a_square_step_copies_nothing():
+    # op(op(x)) hands the operator its own buffer, which numpy copies
+    # before the reversed copy (8 B per mask); square(x) copies x unreversed
+    # and places the pieces upward, then downward, in the buffer; numpy's
+    # ufunc buffers take about 14 KiB either way.  19 points, 4 MiB of
+    # float64: the operator does not split
+    pieces = SectionPieces(LatticeShape((19,)), SectionKind.TORUS, True)
+    sweep = SweepOperator(pieces, (pieces.full + 1,), np.float64)
+    x = np.ones(pieces.full + 1)
+    assert traced_peak(lambda: sweep(sweep(x))) >= 8 << 19
+    assert traced_peak(lambda: sweep.square(x)) <= 1 << 19
 
 
 def test_an_unsplit_table_holds_one_array():

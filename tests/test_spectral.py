@@ -11,7 +11,7 @@ from mdentropy.lattice import LatticeShape
 from mdentropy.matchcount import CoverTable, SectionKind, SectionPieces, SweepOperator
 from mdentropy.spectral import SHIFT, operator_power_method, power_method
 from mdentropy.symmetry import compute_orbits, generate_motion_group
-from mdentropy.transfer import build_quotient
+from mdentropy.transfer import build_quotient, full_matrix_sparse
 
 PATH_GRAPH = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
@@ -279,7 +279,7 @@ def dimer_only_sweep(dims):
     shape = LatticeShape(dims)
     sweep = SweepOperator(SectionPieces(shape, SectionKind.TORUS, True), (1 << shape.n,),
                           np.float64)
-    apply = (lambda x: sweep(sweep(x))) if shape.n % 2 else sweep
+    apply = sweep.square if shape.n % 2 else sweep
     return apply, 1 << shape.n, dimer_sectors(shape)
 
 
@@ -322,3 +322,66 @@ def test_blocked_steps_match_whole_vector_reductions_bitwise(monkeypatch, case):
     assert bracket.iterations > 1
     assert history == want
     assert np.array_equal(vector, want_vector)
+
+
+def empty_rows():
+    """Rows 1, 3 and 4 without nonzeros; column 3 has two."""
+    matrix = np.zeros((7, 7))
+    matrix[0, 3], matrix[5, 3], matrix[6, 1], matrix[2, 2] = 1.0, 2.0, 1.0, 3.0
+    return matrix
+
+
+def one_way_path():
+    """A path through a shuffled order of 40 indices, each edge stored in one
+    direction only, and 5 isolated indices: several hooking rounds."""
+    rng = np.random.default_rng(11)
+    order = rng.permutation(40)
+    matrix = np.zeros((45, 45))
+    for a, b in zip(order, order[1:]):
+        if rng.random() < 0.5:
+            a, b = b, a
+        matrix[a, b] = 1.0
+    return matrix
+
+
+def full_matrix(dims, dimer_only):
+    return full_matrix_sparse(CoverTable(LatticeShape(dims), SectionKind.TORUS, dimer_only))
+
+
+LABEL_CASES = {
+    "dimer-12": lambda: full_matrix((12,), True),
+    "dimer-4x3": lambda: full_matrix((4, 3), True),
+    "md-3x3": lambda: full_matrix((3, 3), False),
+    "dimer-quotient-4x2": lambda: torus_quotient((4, 2), True).to_dense(),
+    "unsorted-blocks": lambda: unsorted_blocks()[0].__self__,
+    "path": lambda: PATH_GRAPH,
+    "empty-rows": empty_rows,
+    "non-symmetric": one_way_path,
+}
+
+
+@pytest.mark.parametrize("case", list(LABEL_CASES))
+def test_components_are_numbered_as_scipy_numbers_them(case):
+    # same labels, so the same sector order, brackets and vectors
+    matrix = LABEL_CASES[case]()
+    csr = sparse.csr_matrix(matrix)
+    want_count, want = connected_components(csr, directed=False)
+    forms = [(csr, False)]
+    if csr.shape[0] <= 1 << 10:
+        forms.append((csr.toarray(), True))
+    for mat, dense in forms:
+        count, labels = spectral._components(mat, dense)
+        assert count == want_count
+        assert np.array_equal(labels, want)
+    if case == "non-symmetric":
+        assert (csr != csr.T).nnz
+    if case in ("dimer-quotient-4x2", "unsorted-blocks", "empty-rows", "non-symmetric"):
+        assert want_count > 1
+
+
+def test_explicit_zeros_join_nothing():
+    matrix = sparse.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
+    matrix.data[[4, 5]] = 0.0  # the entries (1, 2) and (2, 1)
+    count, labels = spectral._components(matrix, False)
+    assert (count, labels.tolist()) == (2, [0, 0, 1])
+    assert power_method(matrix)[0].upper == pytest.approx(2.0)

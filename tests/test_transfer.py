@@ -232,6 +232,42 @@ def test_operator_input_may_be_its_buffer(dtype):
     assert np.array_equal(sweep(sweep.buffer), want)
 
 
+# M^2 for odd dimer-only brackets: 13 and 15 points split, 11 and 4 x 3
+# do not; batches on either side
+SQUARE_CASES = [
+    ((13,), SectionKind.TORUS, True, None),
+    ((5, 3), SectionKind.TORUS, True, None),
+    ((11,), SectionKind.TORUS, True, None),
+    ((4, 3), SectionKind.PROTRUDING, False, None),
+    ((11,), SectionKind.MIXED, False, 6),
+    ((8, 2), SectionKind.TORUS, False, 3),
+]
+
+
+@pytest.mark.parametrize("dims,kind,dimer_only,batch", SQUARE_CASES,
+                         ids=["x".join(map(str, dims)) + f"-{kind.value}-{batch or 'vector'}"
+                              for dims, kind, _, batch in SQUARE_CASES])
+def test_square_matches_two_calls_bitwise(dims, kind, dimer_only, batch):
+    pieces = SectionPieces(LatticeShape(dims), kind, dimer_only)
+    shape = (pieces.full + 1,) if batch is None else (pieces.full + 1, batch)
+    rng = np.random.default_rng(prod(shape))
+    for x in random_inputs(shape, rng):
+        if x.dtype == object and x.size > 1 << 14:
+            continue
+        sweep = SweepOperator(pieces, shape, x.dtype)
+        want = sweep(sweep(x)).copy()
+        kept = x.copy()
+        got = sweep.square(x)
+        assert got is sweep.buffer and got.dtype == x.dtype
+        assert np.array_equal(x, kept)
+        if x.dtype == object:
+            assert (got == want).all()
+        else:
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="does not match"):
+        sweep.square(x[:-1])
+
+
 # pairs of operators on both sides of the split rule (buffers of 64 KiB to
 # 1 MiB in rows of at most 256 B): 12 and 13 points, 17 and 18, three
 # residues of two columns over 11 points against three residues of one,
